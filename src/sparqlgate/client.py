@@ -1,25 +1,27 @@
 """SPARQL 1.1 protocol client and results parser.
 
 One canonical wire path: the query travels as the ``query`` parameter (GET)
-or form field (POST), and the response is read as SPARQL-results JSON. The
-parsed form is a ResultTable — ordered header, per-variable value types,
-and ordered rows of cells — which is the single intermediate representation
+or form field (POST), and the response body is always read as
+SPARQL-results JSON, whatever media type the endpoint reports. The parsed
+form is a ResultTable — ordered header, per-variable value types, and
+ordered rows of cells — which is the single intermediate representation
 the rest of the pipeline works on.
 
-Substitution into query templates is a raw text splice: the parameter's
-shape pattern is the only injection guard, which makes shape patterns a
-config-author responsibility worth stating loudly.
+Substitution into query templates is a raw text splice over the slots that
+``config.SLOT_RE`` finds at load time: the parameter's shape pattern is the
+only injection guard, which makes shape patterns a config-author
+responsibility worth stating loudly.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import requests
 
+from .config import SLOT_RE
 from .errors import EndpointStatusError, EndpointUnreachableError, ResultParseError
 
 RESULTS_JSON = "application/sparql-results+json"
@@ -27,8 +29,6 @@ RESULTS_JSON = "application/sparql-results+json"
 # A cell is plain text straight off the wire; list and record cells only
 # appear later, produced by the json refinement or a table transform.
 Cell = str | list | dict
-
-_SLOT_RE = re.compile(r"\[\[([A-Za-z_]\w*)\]\]")
 
 
 @dataclass
@@ -53,7 +53,7 @@ def substitute(template: str, bindings: Mapping[str, str]) -> str:
     Replacement text is inserted verbatim and never rescanned, so a binding
     containing ``[[`` cannot trigger re-expansion.
     """
-    return _SLOT_RE.sub(lambda m: bindings[m.group(1)], template)
+    return SLOT_RE.sub(lambda m: bindings[m.group(1)], template)
 
 
 def dispatch(
@@ -88,9 +88,7 @@ def dispatch(
 
 
 def parse_results(
-    body: str,
-    media_type: str = RESULTS_JSON,
-    field_types: Mapping[str, str] | None = None,
+    body: str, field_types: Mapping[str, str] | None = None
 ) -> ResultTable:
     """Parse a SPARQL-results JSON document into a ResultTable.
 

@@ -77,7 +77,7 @@ HTTP_METHODS = frozenset({"get", "post"})
 
 _FIELD_LINE_RE = re.compile(r"^#([A-Za-z_]\w*)(?:[ \t]+(.*))?$")
 PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_]\w*)\}")
-_SLOT_RE = re.compile(r"\[\[([A-Za-z_]\w*)\]\]")
+SLOT_RE = re.compile(r"\[\[([A-Za-z_]\w*)\]\]")
 _ALT_SLOT_RE = re.compile(r"\[\{([A-Za-z_]\w*)\}\]")
 _SHAPE_RE = re.compile(r"^([A-Za-z_]\w*)(?:\((.*)\))?$", re.DOTALL)
 _CHAIN_TERM_RE = re.compile(r"^([A-Za-z_]\w*)\((.*)\)$", re.DOTALL)
@@ -147,12 +147,6 @@ class OperationSpec:
     output_json_example: str = ""
     fields: tuple[FieldEntry, ...] = ()
     extras: tuple[FieldEntry, ...] = ()
-
-    def shape_of(self, param_name: str) -> ParamShape:
-        for shape in self.params:
-            if shape.param_name == param_name:
-                return shape
-        raise KeyError(param_name)
 
 
 @dataclass(frozen=True)
@@ -299,7 +293,7 @@ def normalize_slots(sparql: str) -> str:
 
 def slot_names(sparql: str) -> set[str]:
     """``[[name]]`` substitution slots of a (normalized) SPARQL template."""
-    return set(_SLOT_RE.findall(sparql))
+    return set(SLOT_RE.findall(sparql))
 
 
 # ---------------------------------------------------------------------------

@@ -77,10 +77,6 @@ class CallStats:
             }
 
 
-def record_call(stats: CallStats, operation_id: str | None, status: int) -> None:
-    stats.record_call(operation_id, status)
-
-
 def operation_id(api: ApiSpec, operation: OperationSpec) -> str:
     """Stable identity of one operation: mount point plus URL template."""
     return api.url + operation.url_template

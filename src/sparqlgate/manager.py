@@ -28,15 +28,8 @@ from .pipeline import (
     execute,
     register_builtins,
 )
-from .refine import CSV_MEDIA_TYPE, JSON_MEDIA_TYPE, RefinementPlan, parse_refinements
-from .errors import RefinementError
-from .router import (
-    CallRequest,
-    CompiledRoute,
-    compile_routes,
-    extract_bindings,
-    match_path,
-)
+from .refine import CSV_MEDIA_TYPE, JSON_MEDIA_TYPE
+from .router import CallRequest, CompiledRoute, compile_routes, match_path
 
 
 @dataclass(frozen=True)
@@ -125,29 +118,17 @@ class ApiManager:
         """Resolve a complete call URL to a reusable operation handle.
 
         Raises NotFoundError when no loaded operation matches the path.
-        Refinements in the URL are parsed for introspection; a syntactically
-        bad refinement leaves the plan unset and surfaces at exec time.
+        Only the path is checked here; the method, parameter types and
+        refinements are checked by every exec.
         """
-        path, _, query = op_complete_url.partition("?")
+        path = op_complete_url.partition("?")[0]
         api = self.find_api(path)
         if api is None:
             raise NotFoundError(f"no loaded api serves {path!r}")
         found = match_path(api.routes, path)
         if found is None:
             raise NotFoundError(f"no operation matches {path!r}")
-        route, m = found
-        bindings = extract_bindings(route.operation, m)
-        try:
-            plan: RefinementPlan | None = parse_refinements(_query_pairs(query))
-        except RefinementError:
-            plan = None
-        return OperationHandle(
-            manager=self,
-            url=op_complete_url,
-            operation=route.operation,
-            bindings=bindings,
-            plan=plan,
-        )
+        return OperationHandle(self, op_complete_url, found[0].operation)
 
 
 @dataclass(frozen=True)
@@ -157,8 +138,6 @@ class OperationHandle:
     manager: ApiManager
     url: str
     operation: OperationSpec
-    bindings: dict[str, str]
-    plan: RefinementPlan | None
 
     def exec(
         self, method: str = "get", content_type: str = "json"

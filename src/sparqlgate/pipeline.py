@@ -213,18 +213,3 @@ def execute(
         wrapped = CallError(f"internal error: {exc}")
         return CallOutcome(500, error_body(wrapped), "application/json"), operation
 
-
-def exec_call(
-    api: ApiSpec,
-    routes: tuple[CompiledRoute, ...],
-    registry: ProcessRegistry,
-    request: CallRequest,
-    *,
-    timeout: float = 30.0,
-    session: requests.Session | None = None,
-) -> CallOutcome:
-    """Like execute, reporting only the outcome."""
-    outcome, _ = execute(
-        api, routes, registry, request, timeout=timeout, session=session
-    )
-    return outcome

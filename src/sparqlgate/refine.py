@@ -25,8 +25,6 @@ from .values import compare, is_valid
 
 log = logging.getLogger(__name__)
 
-RESERVED_KEYS = frozenset({"require", "filter", "sort", "format", "json"})
-
 CSV_MEDIA_TYPE = "text/csv"
 JSON_MEDIA_TYPE = "application/json"
 

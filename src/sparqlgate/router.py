@@ -7,21 +7,19 @@ percent-encoded path, so an encoded slash never creates path structure;
 captured values are percent-decoded afterwards. Parameter values may span
 ``/`` whenever their pattern allows it — identifiers like DOIs depend on
 this.
+
+The steps stay separate (match, method check, binding extraction, typed
+coercion); ``pipeline.execute`` is the one place that composes them.
 """
 
 from __future__ import annotations
 
 import re
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import ApiSpec, OperationSpec, ParamShape, PLACEHOLDER_RE
-from .errors import (
-    MethodNotAllowedError,
-    NotFoundError,
-    SpecValidationError,
-    TypeMismatchError,
-)
+from .errors import MethodNotAllowedError, SpecValidationError, TypeMismatchError
 from .values import is_valid
 
 
@@ -38,14 +36,6 @@ class CallRequest:
     method: str = "get"
     query_params: tuple[tuple[str, str], ...] = ()
     accept_header: str | None = None
-
-
-@dataclass(frozen=True)
-class RouteMatch:
-    """The operation selected for a call plus its decoded parameter values."""
-
-    operation: OperationSpec
-    bindings: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -113,23 +103,6 @@ def require_method(operation: OperationSpec, method: str) -> None:
             f"operation {operation.url_template!r} accepts "
             f"{operation.method}, not {method}"
         )
-
-
-def resolve(routes: tuple[CompiledRoute, ...], request: CallRequest) -> RouteMatch:
-    """Match a request against the routes, first full match in document order.
-
-    Raises NotFoundError when no template matches the path and
-    MethodNotAllowedError when the matched operation's method differs from
-    the request's.
-    """
-    found = match_path(routes, request.full_path)
-    if found is None:
-        raise NotFoundError(f"no operation matches {request.full_path!r}")
-    route, m = found
-    require_method(route.operation, request.method)
-    return RouteMatch(
-        operation=route.operation, bindings=extract_bindings(route.operation, m)
-    )
 
 
 def coerce_binding(raw: str, shape: ParamShape) -> str:

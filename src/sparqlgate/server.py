@@ -27,7 +27,19 @@ class _Handler(BaseHTTPRequestHandler):
         self._handle("get")
 
     def do_POST(self) -> None:
-        self._handle("post")
+        # Operations read only the URL, but the body must still be consumed so
+        # the next request on this connection frames right. A body that cannot
+        # be skipped reliably gets send_error, which closes the connection.
+        lengths = self.headers.get_all("Content-Length", ["0"])
+        if "Transfer-Encoding" in self.headers:
+            self.send_error(411, "Transfer-Encoding is not supported")
+        elif len(set(lengths)) > 1 or not (lengths[0].isascii() and lengths[0].isdigit()):
+            self.send_error(400, "Malformed Content-Length")
+        else:
+            remaining = int(lengths[0])
+            while remaining > 0 and (chunk := self.rfile.read(min(remaining, 65536))):
+                remaining -= len(chunk)
+            self._handle("post")
 
     def _handle(self, method: str) -> None:
         gateway: GatewayServer = self.server  # type: ignore[assignment]
@@ -67,30 +79,14 @@ class _Handler(BaseHTTPRequestHandler):
         log.debug("%s - %s", self.address_string(), format % args)
 
 
-class GatewayServer(ThreadingHTTPServer):
-    """Threaded HTTP server bound to one ApiManager."""
+class BackgroundServer(ThreadingHTTPServer):
+    """Threaded HTTP server that can serve from a background thread."""
 
     daemon_threads = True
+    _thread: threading.Thread | None = None
 
-    def __init__(
-        self,
-        manager: ApiManager,
-        host: str = "127.0.0.1",
-        port: int = 8080,
-        css: str | None = None,
-    ):
-        super().__init__((host, port), _Handler)
-        self.manager = manager
-        self.css = css
-        self._thread: threading.Thread | None = None
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "GatewayServer":
-        """Serve in a background thread (tests and embedding)."""
+    def start(self):
+        """Serve in a background thread (tests and embedding); returns self."""
         # Tight poll so stop() returns promptly.
         self._thread = threading.Thread(
             target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
@@ -105,11 +101,31 @@ class GatewayServer(ThreadingHTTPServer):
             self._thread.join(timeout=5)
             self._thread = None
 
-    def __enter__(self) -> "GatewayServer":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+class GatewayServer(BackgroundServer):
+    """Threaded HTTP server bound to one ApiManager."""
+
+    def __init__(
+        self,
+        manager: ApiManager,
+        host: str = "127.0.0.1",
+        port: int = 8080,
+        css: str | None = None,
+    ):
+        super().__init__((host, port), _Handler)
+        self.manager = manager
+        self.css = css
+
+    @property
+    def url(self) -> str:
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
 
 
 def serve(

@@ -16,8 +16,10 @@ import re
 import threading
 import urllib.parse
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from typing import Mapping, Sequence
+
+from .server import BackgroundServer
 
 RESULTS_MEDIA_TYPE = "application/sparql-results+json"
 
@@ -91,17 +93,14 @@ def _rule_matches(matcher: str | re.Pattern, query: str) -> bool:
     return matcher.search(query) is not None
 
 
-class MockSparqlEndpoint(ThreadingHTTPServer):
+class MockSparqlEndpoint(BackgroundServer):
     """Loopback SPARQL endpoint answering from canned rules."""
-
-    daemon_threads = True
 
     def __init__(self, rules: Sequence[MockRule], host: str = "127.0.0.1", port: int = 0):
         super().__init__((host, port), _MockHandler)
         self.rules = list(rules)
         self._received: list[str] = []
         self._lock = threading.Lock()
-        self._thread: threading.Thread | None = None
 
     @property
     def url(self) -> str:
@@ -117,26 +116,6 @@ class MockSparqlEndpoint(ThreadingHTTPServer):
     def record(self, query: str) -> None:
         with self._lock:
             self._received.append(query)
-
-    def start(self) -> "MockSparqlEndpoint":
-        self._thread = threading.Thread(
-            target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self.shutdown()
-        self.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-    def __enter__(self) -> "MockSparqlEndpoint":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 def start_mock(rules: Sequence[MockRule]) -> MockSparqlEndpoint:

@@ -78,7 +78,7 @@ def test_parameter_fields_are_recognized_from_the_url_template():
     # "#id" is only a field because the block's template declares {id}.
     text = MINIMAL.replace("#method get", "#id str(\\d+)\n#method get")
     op = _doc(text).operations[0]
-    assert op.shape_of("id") == ParamShape("id", "str", "\\d+")
+    assert op.params == (ParamShape("id", "str", "\\d+"),)
 
 
 def test_preamble_allows_only_blank_and_comment_lines():
@@ -175,7 +175,7 @@ def test_fixture_document_parses_completely():
         "/stats/{prefix}",
     ]
     assert [op.method for op in ops] == ["get", "get", "post"]
-    assert ops[0].shape_of("doi") == ParamShape("doi", "str", "10\\..+")
+    assert ops[0].params == (ParamShape("doi", "str", "10\\..+"),)
     assert ops[0].preprocess == (ProcessStep("lower", ("doi",)),)
     assert ops[0].field_types["creation"] == "datetime"
     assert "[[doi]]" in ops[0].sparql
@@ -190,7 +190,7 @@ def test_api_method_field_omitted_allows_both_verbs():
 
 
 def test_undeclared_parameter_defaults_to_str_catch_all():
-    assert _doc().operations[0].shape_of("id") == ParamShape("id", "str", ".+")
+    assert _doc().operations[0].params == (ParamShape("id", "str", ".+"),)
 
 
 def test_api_only_document_is_valid():

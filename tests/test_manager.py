@@ -6,7 +6,6 @@ import pytest
 
 from sparqlgate.errors import NotFoundError, SpecValidationError, UnknownFunctionError
 from sparqlgate.manager import ApiManager
-from sparqlgate.refine import RefinementPlan
 from sparqlgate.testkit import fixture_citations, fixture_file
 
 SECOND_API = """#url /alt
@@ -183,13 +182,20 @@ def test_call_accept_header_reaches_serialization(gateway):
 # ---------------------------------------------------------------------------
 
 
-def test_get_op_resolves_bindings_and_plan(gateway):
+def test_get_op_resolves_bindings_and_plan(gateway, mock_endpoint):
     handle = gateway.get_op(
-        "/api/v1/citations/10.1108%2Fjd-12-2013-0166?format=csv&require=citing"
+        "/api/v1/citation-info/10.1108%2FJD-12-2013-0166?format=csv&require=creation"
     )
-    assert handle.operation.url_template == "/citations/{doi}"
-    assert handle.bindings == {"doi": "10.1108/jd-12-2013-0166"}
-    assert handle.plan == RefinementPlan(requires=("citing",), format="csv")
+    assert handle.operation.url_template == "/citation-info/{doi}"
+    status, body = handle.exec()
+    assert status == 200
+    # The decoded (and lower-cased) binding reached the query...
+    assert "<https://doi.org/10.1108/jd-12-2013-0166>" in mock_endpoint.received[-1]
+    # ...and the plan ran: format=csv beat exec's default JSON, and
+    # require=creation dropped the one row whose creation is unbound.
+    lines = body.splitlines()
+    assert lines[0] == "citing,cited,creation"
+    assert len(lines) == 4 and "10.1093/nar/gkw1328" not in body
 
 
 def test_get_op_unknown_path_raises(gateway):
@@ -201,7 +207,6 @@ def test_get_op_unknown_path_raises(gateway):
 
 def test_get_op_with_bad_refinement_defers_to_exec(gateway):
     handle = gateway.get_op("/api/v1/citations/10.1108/x?sort=nope")
-    assert handle.plan is None
     status, body = handle.exec()
     assert status == 400
     assert json.loads(body)["status"] == 400

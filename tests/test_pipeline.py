@@ -11,7 +11,7 @@ from sparqlgate.config import ProcessStep, parse_document
 from sparqlgate.errors import TransformError, UnknownFunctionError
 from sparqlgate.pipeline import (
     ProcessRegistry,
-    exec_call,
+    execute,
     register_builtins,
     run_postprocess,
     run_preprocess,
@@ -33,7 +33,7 @@ def wired(mock_endpoint):
 
 def _call(wired, path, **kwargs):
     doc, routes, registry = wired
-    return exec_call(doc.api, routes, registry, CallRequest(path, **kwargs))
+    return execute(doc.api, routes, registry, CallRequest(path, **kwargs))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +192,10 @@ def test_endpoint_failure_maps_to_500():
     doc = parse_document(config)
     routes = compile_routes(doc.api, doc.operations)
     registry = register_builtins(ProcessRegistry())
-    outcome = exec_call(
+    outcome = execute(
         doc.api, routes, registry,
         CallRequest("/api/v1/citations/10.1108/x"), timeout=0.5,
-    )
+    )[0]
     assert outcome.status == 500
     assert json.loads(outcome.body)["status"] == 500
 
@@ -209,9 +209,9 @@ def test_upstream_error_status_maps_to_500(wired):
         doc = parse_document(config)
         routes = compile_routes(doc.api, doc.operations)
         registry = register_builtins(ProcessRegistry())
-        outcome = exec_call(
+        outcome = execute(
             doc.api, routes, registry, CallRequest("/api/v1/citations/10.1108/x")
-        )
+        )[0]
     assert outcome.status == 500
     assert "400" in json.loads(outcome.body)["error"]
 

@@ -12,13 +12,15 @@ from sparqlgate.errors import (
     SpecValidationError,
     TypeMismatchError,
 )
+from sparqlgate.pipeline import ProcessRegistry, execute
 from sparqlgate.router import (
     CallRequest,
     coerce_binding,
     compile_matcher,
     compile_routes,
+    extract_bindings,
     match_path,
-    resolve,
+    require_method,
 )
 from sparqlgate.testkit import fixture_citations
 
@@ -29,6 +31,23 @@ def _fixture_routes():
     return compile_routes(doc.api, doc.operations)
 
 
+def _route(routes, path, method="get"):
+    """The matched operation and its bindings, composed as pipeline.execute does."""
+    found = match_path(routes, path)
+    assert found is not None, path
+    route, m = found
+    require_method(route.operation, method)
+    return route.operation, extract_bindings(route.operation, m)
+
+
+def _execute(path, method="get"):
+    """Run the fixture pipeline; routing failures never reach the endpoint."""
+    config, _ = fixture_citations()
+    doc = parse_document(config)
+    routes = compile_routes(doc.api, doc.operations)
+    return execute(doc.api, routes, ProcessRegistry(), CallRequest(path, method))
+
+
 # ---------------------------------------------------------------------------
 # Matcher compilation
 # ---------------------------------------------------------------------------
@@ -36,9 +55,9 @@ def _fixture_routes():
 
 def test_parameter_values_may_span_slashes():
     routes = _fixture_routes()
-    match = resolve(routes, CallRequest("/api/v1/citations/10.1108/jd-12-2013-0166"))
-    assert match.operation.url_template == "/citations/{doi}"
-    assert match.bindings == {"doi": "10.1108/jd-12-2013-0166"}
+    operation, bindings = _route(routes, "/api/v1/citations/10.1108/jd-12-2013-0166")
+    assert operation.url_template == "/citations/{doi}"
+    assert bindings == {"doi": "10.1108/jd-12-2013-0166"}
 
 
 def test_literal_text_is_escaped_not_interpreted():
@@ -58,8 +77,9 @@ def test_zero_parameter_template_matches_exactly():
 def test_declared_pattern_gates_the_match():
     routes = _fixture_routes()
     # The doi shape is str(10\..+): a non-DOI path does not match at all.
-    with pytest.raises(NotFoundError):
-        resolve(routes, CallRequest("/api/v1/citations/99.9999/x"))
+    assert match_path(routes, "/api/v1/citations/99.9999/x") is None
+    outcome, operation = _execute("/api/v1/citations/99.9999/x")
+    assert (outcome.status, operation) == (NotFoundError.status, None)
 
 
 def test_repeated_placeholder_is_rejected_at_compile_time():
@@ -89,37 +109,42 @@ def test_first_matching_route_wins_in_document_order():
 """
     doc = parse_document(text)
     routes = compile_routes(doc.api, doc.operations)
-    assert resolve(routes, CallRequest("/api/v1/works/special")).operation.url_template == "/works/special"
-    assert resolve(routes, CallRequest("/api/v1/works/other")).operation.url_template == "/works/{name}"
+    assert _route(routes, "/api/v1/works/special")[0].url_template == "/works/special"
+    assert _route(routes, "/api/v1/works/other")[0].url_template == "/works/{name}"
     # Reversed declaration order flips the winner for the overlapping path.
     flipped = parse_document(text.replace("/works/special", "/works/{name}", 1).replace(
         "/works/{name}\n#type operation\n#method get\n#sparql SELECT ?s WHERE { ?s ?p \"[[name]]\" }",
         "/works/special\n#type operation\n#method get\n#sparql SELECT ?s WHERE { ?s a ?s }",
     ))
     flipped_routes = compile_routes(flipped.api, flipped.operations)
-    assert resolve(flipped_routes, CallRequest("/api/v1/works/special")).operation.url_template == "/works/{name}"
+    assert _route(flipped_routes, "/api/v1/works/special")[0].url_template == "/works/{name}"
 
 
 def test_unmatched_path_raises_not_found():
-    with pytest.raises(NotFoundError):
-        resolve(_fixture_routes(), CallRequest("/api/v1/nothing/here"))
+    assert match_path(_fixture_routes(), "/api/v1/nothing/here") is None
+    outcome, operation = _execute("/api/v1/nothing/here")
+    assert (outcome.status, operation) == (NotFoundError.status, None)
 
 
 def test_wrong_method_raises_method_not_allowed():
     routes = _fixture_routes()
     with pytest.raises(MethodNotAllowedError):
-        resolve(routes, CallRequest("/api/v1/citations/10.1/x", method="post"))
+        _route(routes, "/api/v1/citations/10.1/x", method="post")
     with pytest.raises(MethodNotAllowedError):
-        resolve(routes, CallRequest("/api/v1/stats/10.3233", method="get"))
+        _route(routes, "/api/v1/stats/10.3233", method="get")
+    # The pipeline still attributes a 405 to the operation the path matched.
+    outcome, operation = _execute("/api/v1/stats/10.3233", method="get")
+    assert outcome.status == MethodNotAllowedError.status
+    assert operation.url_template == "/stats/{prefix}"
 
 
 def test_matching_runs_on_encoded_path_and_bindings_decode_after():
     routes = _fixture_routes()
-    match = resolve(routes, CallRequest("/api/v1/citations/10.1108%2Fjd-12-2013-0166"))
-    assert match.bindings == {"doi": "10.1108/jd-12-2013-0166"}
+    _, bindings = _route(routes, "/api/v1/citations/10.1108%2Fjd-12-2013-0166")
+    assert bindings == {"doi": "10.1108/jd-12-2013-0166"}
     # An encoded slash inside the value never ends the path segment.
-    encoded = resolve(routes, CallRequest("/api/v1/citations/10.1%2F%2F%2Fdeep"))
-    assert encoded.bindings == {"doi": "10.1///deep"}
+    _, encoded = _route(routes, "/api/v1/citations/10.1%2F%2F%2Fdeep")
+    assert encoded == {"doi": "10.1///deep"}
 
 
 def test_match_path_reports_none_without_consuming_routes():
@@ -145,7 +170,7 @@ def test_coerce_binding_keeps_text_but_gates_on_type():
 
 
 # ---------------------------------------------------------------------------
-# Round-trip property: built path -> resolve -> original values
+# Round-trip property: built path -> match -> original values
 # ---------------------------------------------------------------------------
 
 
@@ -176,5 +201,4 @@ def test_resolution_recovers_randomized_parameter_values():
                 + "/sep/"
                 + urllib.parse.quote(b, safe="")
             )
-        match = resolve(routes, CallRequest(path))
-        assert match.bindings == {"a": a, "b": b}, path
+        assert _route(routes, path)[1] == {"a": a, "b": b}, path

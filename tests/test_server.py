@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+import socket
 
 import pytest
 import requests
@@ -138,6 +140,57 @@ def test_dashboard_shows_recorded_numbers(live):
     page = requests.get(server.url + "/").text
     all_calls = next(line for line in page.splitlines() if "All calls" in line)
     assert "<td>1</td><td>1</td><td>0</td><td>0</td>" in all_calls
+
+
+# ---------------------------------------------------------------------------
+# Request framing
+# ---------------------------------------------------------------------------
+
+POST_HEAD = b"POST /api/v1/stats/10.3233 HTTP/1.1\r\nHost: gateway\r\n"
+NEXT_GET = b"GET /api/v1/citations/10.1108/x HTTP/1.1\r\nHost: gateway\r\n\r\n"
+
+
+def _statuses(server, raw: bytes) -> list[int]:
+    """Send raw bytes on one connection; the status of every response to them."""
+    with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+        sock.sendall(raw)
+        sock.shutdown(socket.SHUT_WR)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    statuses = []
+    while received:
+        head, _, rest = received.partition(b"\r\n\r\n")
+        statuses.append(int(head.split()[1]))
+        received = rest[int(re.search(rb"Content-Length: (\d+)", head).group(1)) :]
+    return statuses
+
+
+def test_post_body_does_not_poison_the_keep_alive_connection(live):
+    server, _ = live
+    post = POST_HEAD + b"Content-Length: 7\r\n\r\na=1&b=2"
+    assert _statuses(server, post + NEXT_GET) == [200, 200]
+
+
+def test_truncated_post_body_stops_at_end_of_stream(live):
+    server, _ = live
+    assert _statuses(server, POST_HEAD + b"Content-Length: 100\r\n\r\na=1") == [200]
+
+
+@pytest.mark.parametrize(
+    "framing, status",
+    [
+        (b"Transfer-Encoding: chunked\r\n\r\n3\r\na=1\r\n0\r\n\r\n", 411),
+        (b"Content-Length: 7a\r\n\r\na=1&b=2", 400),
+        (b"Content-Length: -7\r\n\r\na=1&b=2", 400),
+        (b"Content-Length: 3\r\nContent-Length: 7\r\n\r\na=1&b=2", 400),
+    ],
+    ids=["chunked", "not-a-number", "negative", "conflicting"],
+)
+def test_unskippable_post_body_is_refused_and_closes(live, framing, status):
+    server, _ = live
+    # The connection closes after the error, so the pipelined GET goes unanswered.
+    assert _statuses(server, POST_HEAD + framing + NEXT_GET) == [status]
 
 
 # ---------------------------------------------------------------------------

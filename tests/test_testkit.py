@@ -38,7 +38,7 @@ def test_results_json_omits_unbound_cells():
 
 def test_results_json_round_trips_through_the_parser():
     body = results_json(["x"], [{"x": "only"}, {"x": None}])
-    table = parse_results(body, "application/sparql-results+json")
+    table = parse_results(body)
     assert table.header == ("x",)
     assert [row["x"] for row in table.rows] == ["only", ""]
 
@@ -131,8 +131,8 @@ def test_fixture_rules_reproduce_the_citation_table():
         document = parse_document(fixture_citations(mock.url)[0])
         operation = document.operations[0]
         query = operation.sparql.replace("[[doi]]", FIXTURE_DOI)
-        status, media, body = dispatch(mock.url, query, method="get")
-        table = parse_results(body, media, field_types=operation.field_types)
+        status, _, body = dispatch(mock.url, query, method="get")
+        table = parse_results(body, field_types=operation.field_types)
     assert status == 200
     assert table.header == ("citing", "cited")
     assert [(row["citing"], row["cited"]) for row in table.rows] == [
