@@ -7,6 +7,10 @@ form is a ResultTable — ordered header, per-variable value types, and
 ordered rows of cells — which is the single intermediate representation
 the rest of the pipeline works on.
 
+This module owns all upstream I/O: every call on every surface goes
+through its one pooled ``requests`` session and its ``TIMEOUT``, so no
+caller passes either.
+
 Substitution into query templates is a raw text splice over the slots that
 ``config.SLOT_RE`` finds at load time: the parameter's shape pattern is the
 only injection guard, which makes shape patterns a config-author
@@ -25,6 +29,8 @@ from .config import SLOT_RE
 from .errors import EndpointStatusError, EndpointUnreachableError, ResultParseError
 
 RESULTS_JSON = "application/sparql-results+json"
+TIMEOUT = 30.0  # seconds per upstream query, to connect and to answer alike
+_session = requests.Session()
 
 # A cell is plain text straight off the wire; list and record cells only
 # appear later, produced by the json refinement or a table transform.
@@ -56,25 +62,17 @@ def substitute(template: str, bindings: Mapping[str, str]) -> str:
     return SLOT_RE.sub(lambda m: bindings[m.group(1)], template)
 
 
-def dispatch(
-    endpoint: str,
-    query: str,
-    method: str = "get",
-    *,
-    timeout: float = 30.0,
-    session: requests.Session | None = None,
-) -> tuple[int, str, str]:
+def dispatch(endpoint: str, query: str, method: str = "get") -> tuple[int, str, str]:
     """Send one query to the endpoint; returns (status, media type, body)."""
-    http = session if session is not None else requests
     headers = {"Accept": RESULTS_JSON}
     try:
         if method == "post":
-            response = http.post(
-                endpoint, data={"query": query}, headers=headers, timeout=timeout
+            response = _session.post(
+                endpoint, data={"query": query}, headers=headers, timeout=TIMEOUT
             )
         else:
-            response = http.get(
-                endpoint, params={"query": query}, headers=headers, timeout=timeout
+            response = _session.get(
+                endpoint, params={"query": query}, headers=headers, timeout=TIMEOUT
             )
     except requests.RequestException as exc:
         raise EndpointUnreachableError(f"SPARQL endpoint unreachable: {exc}") from None

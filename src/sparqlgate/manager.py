@@ -17,8 +17,6 @@ import os
 import urllib.parse
 from dataclasses import dataclass
 
-import requests
-
 from .config import ConfigDocument, OperationSpec, load_document
 from .docs import CallStats
 from .errors import NotFoundError, SpecValidationError, error_body
@@ -49,11 +47,9 @@ class LoadedApi:
 class ApiManager:
     """Load config files and execute complete call URLs programmatically."""
 
-    def __init__(self, conf_files: list[str] | tuple[str, ...], *, timeout: float = 30.0):
-        self.timeout = timeout
+    def __init__(self, conf_files: list[str] | tuple[str, ...]):
         self.stats = CallStats()
         self.apis: list[LoadedApi] = []
-        self._session = requests.Session()
         bases: dict[str, str] = {}
         for path in conf_files:
             document = load_document(path)
@@ -105,12 +101,7 @@ class ApiManager:
             accept_header=accept,
         )
         outcome, operation = execute(
-            api.document.api,
-            api.routes,
-            api.registry,
-            request,
-            timeout=self.timeout,
-            session=self._session,
+            api.document.api, api.routes, api.registry, request
         )
         return outcome, api, operation
 

@@ -19,8 +19,6 @@ import urllib.parse
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-import requests
-
 from .client import ResultTable, dispatch, parse_results, substitute
 from .config import ApiSpec, OperationSpec, ProcessStep
 from .errors import (
@@ -169,9 +167,6 @@ def execute(
     routes: tuple[CompiledRoute, ...],
     registry: ProcessRegistry,
     request: CallRequest,
-    *,
-    timeout: float = 30.0,
-    session: requests.Session | None = None,
 ) -> tuple[CallOutcome, OperationSpec | None]:
     """Run the whole pipeline; returns the outcome plus the matched operation.
 
@@ -197,9 +192,7 @@ def execute(
         }
         bindings = run_preprocess(registry, operation.preprocess, bindings)
         query = substitute(operation.sparql, bindings)
-        _, _, body = dispatch(
-            api.endpoint, query, operation.method, timeout=timeout, session=session
-        )
+        _, _, body = dispatch(api.endpoint, query, operation.method)
         table = parse_results(body, field_types=operation.field_types)
         table = run_postprocess(registry, operation.postprocess, table)
 

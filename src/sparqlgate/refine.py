@@ -9,11 +9,13 @@ Execution order across kinds is fixed — require, then filter, then sort,
 then format selection, then json — no matter how the parameters were
 interleaved in the URL. Within one kind, parameters apply in URL order.
 ``format`` beats the Accept header; with neither, json is the default.
+
+Typed order follows the field's declared ``#field_type`` through ``values``:
+a sort keys each row once with ``sort_key``, a typed filter uses ``compare``.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import re
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 from .client import Cell, ResultTable
 from .errors import RefinementError, RefinementSyntaxError
-from .values import compare, is_valid
+from .values import compare, is_valid, sort_key
 
 log = logging.getLogger(__name__)
 
@@ -199,19 +201,13 @@ def apply_filter(table: ResultTable, spec: FilterSpec) -> ResultTable:
 
 
 def apply_sort(table: ResultTable, spec: SortSpec) -> ResultTable:
-    """Stably sort rows by typed comparison on one field."""
+    """Stably sort rows on one field by its typed key, each cell parsed once."""
     if spec.field not in table.header:
         log.warning("sort on unknown field %r ignored", spec.field)
         return table
     value_type = table.type_of(spec.field)
-    ordering = functools.cmp_to_key(
-        lambda a, b: compare(
-            cell_text(a[spec.field]), cell_text(b[spec.field]), value_type
-        )
-    )
-    return table.replaced(
-        sorted(table.rows, key=ordering, reverse=(spec.order == "desc"))
-    )
+    key = lambda row: sort_key(cell_text(row[spec.field]), value_type)
+    return table.replaced(sorted(table.rows, key=key, reverse=spec.order == "desc"))
 
 
 def apply_json_array(table: ResultTable, sep: str, field: str) -> ResultTable:

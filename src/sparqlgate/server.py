@@ -24,10 +24,13 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     def do_GET(self) -> None:
-        self._handle("get")
+        self._skip_body_then_handle("get")
 
     def do_POST(self) -> None:
-        # Operations read only the URL, but the body must still be consumed so
+        self._skip_body_then_handle("post")
+
+    def _skip_body_then_handle(self, method: str) -> None:
+        # Operations read only the URL, but any body must still be consumed so
         # the next request on this connection frames right. A body that cannot
         # be skipped reliably gets send_error, which closes the connection.
         lengths = self.headers.get_all("Content-Length", ["0"])
@@ -39,7 +42,7 @@ class _Handler(BaseHTTPRequestHandler):
             remaining = int(lengths[0])
             while remaining > 0 and (chunk := self.rfile.read(min(remaining, 65536))):
                 remaining -= len(chunk)
-            self._handle("post")
+            self._handle(method)
 
     def _handle(self, method: str) -> None:
         gateway: GatewayServer = self.server  # type: ignore[assignment]

@@ -11,7 +11,11 @@ parses and compares under each type. Comparison rules:
 * duration is an ISO-8601 duration normalized to seconds, with months
   counted as 30 days and years as 365 days;
 * str compares lexicographically;
-* the empty text compares less than any non-empty value, for every type.
+* the empty text, and text that does not parse under the type, compares
+  less than any parsed value, for every type.
+
+``sort_key`` is the one ordering: it maps a value to a tuple key, parsing
+the text once, and ``compare`` is the three-way reading of two such keys.
 """
 
 from __future__ import annotations
@@ -112,31 +116,17 @@ def is_valid(lexical: str, value_type: str) -> bool:
     return True
 
 
-def compare(a: str, b: str, value_type: str) -> int:
-    """Three-way comparison of two lexical values under one type.
-
-    Returns -1, 0, or 1. Empty text sorts before every non-empty value;
-    text that fails to parse under the type is treated like empty text.
-    """
-    ka = _sort_key(a, value_type)
-    kb = _sort_key(b, value_type)
-    if ka is None and kb is None:
-        return 0
-    if ka is None:
-        return -1
-    if kb is None:
-        return 1
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
-def _sort_key(lexical: str, value_type: str):
+def sort_key(lexical: str, value_type: str) -> tuple:
+    """Typed order key: ``(0,)`` for empty or unparseable text, else ``(1, value)``."""
     if lexical == "":
-        return None
+        return (0,)
     try:
-        return parse_typed(lexical, value_type)
+        return (1, parse_typed(lexical, value_type))
     except ValueError:
-        return None
+        return (0,)
+
+
+def compare(a: str, b: str, value_type: str) -> int:
+    """Three-way comparison of two lexical values under one type: -1, 0 or 1."""
+    ka, kb = sort_key(a, value_type), sort_key(b, value_type)
+    return (ka > kb) - (ka < kb)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sparqlgate import client
 from sparqlgate.client import ResultTable, dispatch, parse_results, substitute
 from sparqlgate.errors import (
     EndpointStatusError,
@@ -121,9 +122,10 @@ def test_dispatch_get_and_post_carry_the_query_unchanged():
         assert endpoint.received == [query, query]
 
 
-def test_dispatch_wraps_connection_failures():
+def test_dispatch_wraps_connection_failures(monkeypatch):
+    monkeypatch.setattr(client, "TIMEOUT", 0.5)
     with pytest.raises(EndpointUnreachableError):
-        dispatch("http://127.0.0.1:1/sparql", "SELECT 1", timeout=0.5)
+        dispatch("http://127.0.0.1:1/sparql", "SELECT 1")
 
 
 def test_dispatch_surfaces_upstream_error_statuses():

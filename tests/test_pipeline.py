@@ -6,6 +6,7 @@ import urllib.parse
 
 import pytest
 
+from sparqlgate import client
 from sparqlgate.client import ResultTable, dispatch, parse_results, substitute
 from sparqlgate.config import ProcessStep, parse_document
 from sparqlgate.errors import TransformError, UnknownFunctionError
@@ -187,14 +188,15 @@ def test_json_reshape_under_csv_maps_to_400(wired):
     assert outcome.status == 400
 
 
-def test_endpoint_failure_maps_to_500():
+def test_endpoint_failure_maps_to_500(monkeypatch):
+    monkeypatch.setattr(client, "TIMEOUT", 0.5)
     config, _ = fixture_citations("http://127.0.0.1:1/sparql")
     doc = parse_document(config)
     routes = compile_routes(doc.api, doc.operations)
     registry = register_builtins(ProcessRegistry())
     outcome = execute(
         doc.api, routes, registry,
-        CallRequest("/api/v1/citations/10.1108/x"), timeout=0.5,
+        CallRequest("/api/v1/citations/10.1108/x"),
     )[0]
     assert outcome.status == 500
     assert json.loads(outcome.body)["status"] == 500

@@ -201,7 +201,7 @@ def test_empty_cells_sort_first_ascending_last_descending():
 def test_sort_agrees_with_the_oracle_on_random_tables():
     rng = random.Random(77)
     for _ in range(200):
-        value_type = rng.choice(("int", "float", "str", "datetime"))
+        value_type = rng.choice(("int", "float", "str", "datetime", "duration"))
         rows = []
         for _ in range(rng.randrange(0, 30)):
             roll = rng.random()
@@ -211,6 +211,9 @@ def test_sort_agrees_with_the_oracle_on_random_tables():
                 value = rng.choice(("junk", "n/a", "?"))
             elif value_type == "datetime":
                 value = f"{rng.randint(1990, 2030)}-{rng.randint(1, 12):02d}"
+            elif value_type == "duration":
+                # Equal durations in different spellings keep their row order.
+                value = rng.choice(("P3D", "PT72H", "PT36H", "P1DT12H", "-P1D", "P1W"))
             else:
                 value = str(rng.randint(-50, 50))
             rows.append({"v": value, "i": str(len(rows))})

@@ -147,7 +147,19 @@ def test_dashboard_shows_recorded_numbers(live):
 # ---------------------------------------------------------------------------
 
 POST_HEAD = b"POST /api/v1/stats/10.3233 HTTP/1.1\r\nHost: gateway\r\n"
+GET_HEAD = b"GET /api/v1/citation-info/10.1108/x HTTP/1.1\r\nHost: gateway\r\n"
 NEXT_GET = b"GET /api/v1/citations/10.1108/x HTTP/1.1\r\nHost: gateway\r\n\r\n"
+
+# A body may come with either method; the gateway skips it the same way.
+HEADS = pytest.mark.parametrize("head", [POST_HEAD, GET_HEAD], ids=["POST", "GET"])
+
+UNSKIPPABLE = [
+    (b"Transfer-Encoding: chunked\r\n\r\n3\r\na=1\r\n0\r\n\r\n", 411),
+    (b"Content-Length: 7a\r\n\r\na=1&b=2", 400),
+    (b"Content-Length: -7\r\n\r\na=1&b=2", 400),
+    (b"Content-Length: 3\r\nContent-Length: 7\r\n\r\na=1&b=2", 400),
+]
+UNSKIPPABLE_IDS = ["chunked", "not-a-number", "negative", "conflicting"]
 
 
 def _statuses(server, raw: bytes) -> list[int]:
@@ -166,31 +178,29 @@ def _statuses(server, raw: bytes) -> list[int]:
     return statuses
 
 
-def test_post_body_does_not_poison_the_keep_alive_connection(live):
+@HEADS
+def test_post_body_does_not_poison_the_keep_alive_connection(live, head):
     server, _ = live
-    post = POST_HEAD + b"Content-Length: 7\r\n\r\na=1&b=2"
-    assert _statuses(server, post + NEXT_GET) == [200, 200]
+    request = head + b"Content-Length: 7\r\n\r\na=1&b=2"
+    assert _statuses(server, request + NEXT_GET) == [200, 200]
 
 
-def test_truncated_post_body_stops_at_end_of_stream(live):
+@HEADS
+def test_truncated_post_body_stops_at_end_of_stream(live, head):
     server, _ = live
-    assert _statuses(server, POST_HEAD + b"Content-Length: 100\r\n\r\na=1") == [200]
+    assert _statuses(server, head + b"Content-Length: 100\r\n\r\na=1") == [200]
 
 
 @pytest.mark.parametrize(
-    "framing, status",
-    [
-        (b"Transfer-Encoding: chunked\r\n\r\n3\r\na=1\r\n0\r\n\r\n", 411),
-        (b"Content-Length: 7a\r\n\r\na=1&b=2", 400),
-        (b"Content-Length: -7\r\n\r\na=1&b=2", 400),
-        (b"Content-Length: 3\r\nContent-Length: 7\r\n\r\na=1&b=2", 400),
-    ],
-    ids=["chunked", "not-a-number", "negative", "conflicting"],
+    "head, framing, status",
+    [(POST_HEAD, *case) for case in UNSKIPPABLE]
+    + [(GET_HEAD, *case) for case in UNSKIPPABLE],
+    ids=UNSKIPPABLE_IDS + [f"GET-{name}" for name in UNSKIPPABLE_IDS],
 )
-def test_unskippable_post_body_is_refused_and_closes(live, framing, status):
+def test_unskippable_post_body_is_refused_and_closes(live, head, framing, status):
     server, _ = live
     # The connection closes after the error, so the pipelined GET goes unanswered.
-    assert _statuses(server, POST_HEAD + framing + NEXT_GET) == [status]
+    assert _statuses(server, head + framing + NEXT_GET) == [status]
 
 
 # ---------------------------------------------------------------------------

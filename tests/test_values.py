@@ -5,7 +5,7 @@ import random
 import pytest
 
 from checks import oracle_duration_seconds, oracle_key
-from sparqlgate.values import VALUE_TYPES, compare, is_valid, parse_typed
+from sparqlgate.values import VALUE_TYPES, compare, is_valid, parse_typed, sort_key
 
 # ---------------------------------------------------------------------------
 # Parsing, one type at a time
@@ -160,6 +160,7 @@ def test_compare_agrees_with_independent_oracle():
         ka, kb = oracle_key(a, value_type), oracle_key(b, value_type)
         expected = -1 if ka < kb else (1 if ka > kb else 0)
         assert compare(a, b, value_type) == expected, (value_type, a, b)
+        assert sort_key(a, value_type) == ka, (value_type, a)
 
 
 def test_duration_parser_agrees_with_independent_scanner():
