@@ -1,11 +1,11 @@
 """SPARQL 1.1 protocol client and results parser.
 
 One canonical wire path: the query travels as the ``query`` parameter (GET)
-or form field (POST), and the response body is always read as
-SPARQL-results JSON, whatever media type the endpoint reports. The parsed
-form is a ResultTable — ordered header, per-variable value types, and
-ordered rows of cells — which is the single intermediate representation
-the rest of the pipeline works on.
+or form field (POST), and the response body is always read as UTF-8
+SPARQL-results JSON, whatever media type or charset the endpoint reports.
+The parsed form is a ResultTable — ordered header, per-variable value
+types, and ordered rows of cells — which is the single intermediate
+representation the rest of the pipeline works on.
 
 This module owns all upstream I/O: every call on every surface goes
 through its one pooled ``requests`` session and its ``TIMEOUT``, so no
@@ -77,12 +77,14 @@ def dispatch(endpoint: str, query: str, method: str = "get") -> tuple[int, str, 
     except requests.RequestException as exc:
         raise EndpointUnreachableError(f"SPARQL endpoint unreachable: {exc}") from None
     if not 200 <= response.status_code < 300:
-        raise EndpointStatusError(response.status_code, response.text[:200])
-    return (
-        response.status_code,
-        response.headers.get("Content-Type", ""),
-        response.text,
-    )
+        raise EndpointStatusError(
+            response.status_code, response.content[:200].decode("utf-8", "replace")
+        )
+    try:
+        body = response.content.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ResultParseError(f"SPARQL results body is not UTF-8: {exc}") from None
+    return response.status_code, response.headers.get("Content-Type", ""), body
 
 
 def parse_results(

@@ -81,7 +81,7 @@ SLOT_RE = re.compile(r"\[\[([A-Za-z_]\w*)\]\]")
 _ALT_SLOT_RE = re.compile(r"\[\{([A-Za-z_]\w*)\}\]")
 _SHAPE_RE = re.compile(r"^([A-Za-z_]\w*)(?:\((.*)\))?$", re.DOTALL)
 _CHAIN_TERM_RE = re.compile(r"^([A-Za-z_]\w*)\((.*)\)$", re.DOTALL)
-_NAME_RE = re.compile(r"^[A-Za-z_]\w*$")
+NAME_RE = re.compile(r"^[A-Za-z_]\w*$")
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +246,7 @@ def parse_process_chain(text: str) -> tuple[ProcessStep, ...]:
         if body:
             for arg in body.split(","):
                 arg = arg.strip()
-                if not _NAME_RE.match(arg):
+                if not NAME_RE.match(arg):
                     raise ProcessChainError(
                         f"bad argument {arg!r} in chain term {term!r}"
                     )
@@ -268,7 +268,7 @@ def parse_field_types(text: str) -> dict[str, str]:
                 f"unknown type {value_type!r} in field type {item!r}",
                 field="field_type",
             )
-        if not _NAME_RE.match(var):
+        if not NAME_RE.match(var):
             raise ParamShapeError(
                 f"bad variable name {var!r} in field type {item!r}",
                 field="field_type",

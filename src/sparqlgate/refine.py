@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 
 from .client import Cell, ResultTable
+from .config import NAME_RE
 from .errors import RefinementError, RefinementSyntaxError
 from .values import compare, is_valid, sort_key
 
@@ -30,7 +31,6 @@ log = logging.getLogger(__name__)
 CSV_MEDIA_TYPE = "text/csv"
 JSON_MEDIA_TYPE = "application/json"
 
-_NAME_RE = re.compile(r"^[A-Za-z_]\w*$")
 _FILTER_RE = re.compile(r"^([A-Za-z_]\w*):(.*)$", re.DOTALL)
 _SORT_RE = re.compile(r"^(asc|desc)\(\s*([A-Za-z_]\w*)\s*\)$")
 _JSON_RE = re.compile(r'^(array|dict)\(\s*"([^"]*)"\s*,(.*)\)$', re.DOTALL)
@@ -88,7 +88,7 @@ def parse_refinements(query_params: tuple[tuple[str, str], ...]) -> RefinementPl
 
     for key, value in query_params:
         if key == "require":
-            if not _NAME_RE.match(value):
+            if not NAME_RE.match(value):
                 raise RefinementSyntaxError(f"bad require field name {value!r}")
             requires.append(value)
         elif key == "filter":
@@ -138,7 +138,7 @@ def _parse_json_op(value: str) -> JsonOpSpec:
         raise RefinementSyntaxError(f"bad json expression {value!r}")
     op, separator, tail = m.group(1), m.group(2), m.group(3)
     names = [name.strip() for name in tail.split(",")]
-    if not all(_NAME_RE.match(name) for name in names):
+    if not all(NAME_RE.match(name) for name in names):
         raise RefinementSyntaxError(f"bad field list in json expression {value!r}")
     if separator == "":
         raise RefinementSyntaxError("json separator must be non-empty")

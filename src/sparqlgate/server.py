@@ -4,6 +4,10 @@ The handler works on the raw request target, so percent-encoded slashes in
 parameter values never gain path meaning. Operation calls and unmatched
 paths are recorded in the call statistics; dashboard and documentation
 page views are not, so reading the dashboard never changes what it shows.
+
+``BaseHandler`` is the HTTP side of the gateway and the testkit mock alike:
+one request-body framing path (413 above ``MAX_BODY_BYTES``), one response
+writer and one access log. Subclasses implement only ``_handle``.
 """
 
 from __future__ import annotations
@@ -17,47 +21,63 @@ from .manager import ApiManager
 
 log = logging.getLogger(__name__)
 
-HTML_MEDIA_TYPE = "text/html"
+HTML_MEDIA_TYPE = "text/html; charset=utf-8"
+MAX_BODY_BYTES = 1 << 20  # larger request bodies get 413 and are never read
 
 
-class _Handler(BaseHTTPRequestHandler):
+class BaseHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 body framing and response writing; subclasses add ``_handle``."""
+
     protocol_version = "HTTP/1.1"
 
     def do_GET(self) -> None:
-        self._skip_body_then_handle("get")
+        self._read_body_then_handle("get")
 
     def do_POST(self) -> None:
-        self._skip_body_then_handle("post")
+        self._read_body_then_handle("post")
 
-    def _skip_body_then_handle(self, method: str) -> None:
-        # Operations read only the URL, but any body must still be consumed so
-        # the next request on this connection frames right. A body that cannot
-        # be skipped reliably gets send_error, which closes the connection.
+    def _read_body_then_handle(self, method: str) -> None:
+        # Any body is read off the connection, so the next request on it frames
+        # right. A body that cannot be framed, or is too large to read, gets
+        # send_error unread, which closes the connection.
         lengths = self.headers.get_all("Content-Length", ["0"])
         if "Transfer-Encoding" in self.headers:
             self.send_error(411, "Transfer-Encoding is not supported")
         elif len(set(lengths)) > 1 or not (lengths[0].isascii() and lengths[0].isdigit()):
             self.send_error(400, "Malformed Content-Length")
+        elif int(lengths[0]) > MAX_BODY_BYTES:
+            self.send_error(413, "Request body too large")
         else:
-            remaining = int(lengths[0])
-            while remaining > 0 and (chunk := self.rfile.read(min(remaining, 65536))):
-                remaining -= len(chunk)
-            self._handle(method)
+            self._handle(method, self.rfile.read(int(lengths[0])))
 
-    def _handle(self, method: str) -> None:
+    def _send(self, status: int, body: str, content_type: str) -> None:
+        payload = body.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, format: str, *args) -> None:
+        log.debug("%s - %s", self.address_string(), format % args)
+
+
+class _Handler(BaseHandler):
+    def _handle(self, method: str, body: bytes) -> None:
+        # Operations read only the URL; the request body is ignored.
         gateway: GatewayServer = self.server  # type: ignore[assignment]
         manager = gateway.manager
         path, _, _query = self.path.partition("?")
 
         if path in ("", "/") and method == "get":
-            body = render_dashboard(manager.stats, manager.documents, gateway.css)
-            self._send(200, body, HTML_MEDIA_TYPE)
+            page = render_dashboard(manager.stats, manager.documents, gateway.css)
+            self._send(200, page, HTML_MEDIA_TYPE)
             return
 
         api = manager.find_api(path)
         if api is not None and method == "get" and path.rstrip("/") == api.base:
-            body = render_docs(api.document.api, api.document.operations, gateway.css)
-            self._send(200, body, HTML_MEDIA_TYPE)
+            page = render_docs(api.document.api, api.document.operations, gateway.css)
+            self._send(200, page, HTML_MEDIA_TYPE)
             return
 
         accept = self.headers.get("Accept")
@@ -68,18 +88,7 @@ class _Handler(BaseHTTPRequestHandler):
             else None
         )
         manager.stats.record_call(op_id, outcome.status)
-        self._send(outcome.status, outcome.body, outcome.content_type)
-
-    def _send(self, status: int, body: str, content_type: str) -> None:
-        payload = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", f"{content_type}; charset=utf-8")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, format: str, *args) -> None:
-        log.debug("%s - %s", self.address_string(), format % args)
+        self._send(outcome.status, outcome.body, f"{outcome.content_type}; charset=utf-8")
 
 
 class BackgroundServer(ThreadingHTTPServer):
@@ -110,6 +119,12 @@ class BackgroundServer(ThreadingHTTPServer):
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
+    @property
+    def url(self) -> str:
+        """The origin this server listens on, ``http://host:port``."""
+        host, port = self.server_address[:2]
+        return f"http://{host}:{port}"
+
 
 class GatewayServer(BackgroundServer):
     """Threaded HTTP server bound to one ApiManager."""
@@ -124,11 +139,6 @@ class GatewayServer(BackgroundServer):
         super().__init__((host, port), _Handler)
         self.manager = manager
         self.css = css
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
 
 
 def serve(

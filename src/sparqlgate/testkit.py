@@ -3,9 +3,10 @@
 The mock endpoint speaks just enough of the SPARQL protocol for the
 gateway — query via GET parameter or POSTed form — and answers from an
 ordered rule list (first match wins, unmatched queries get a 400
-diagnostic). The fixture builds a three-operation configuration over a
-small citation graph whose first operation returns a fixed 2x2 table, so
-golden outputs are stable down to the byte.
+diagnostic). Its handler is a ``server.BaseHandler``, so it frames request
+bodies exactly as the gateway does. The fixture builds a three-operation
+configuration over a small citation graph whose first operation returns a
+fixed 2x2 table, so golden outputs are stable down to the byte.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ import re
 import threading
 import urllib.parse
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler
 from typing import Mapping, Sequence
 
-from .server import BackgroundServer
+from .server import BackgroundServer, BaseHandler
 
 RESULTS_MEDIA_TYPE = "application/sparql-results+json"
 
@@ -50,18 +50,11 @@ def results_json(
     )
 
 
-class _MockHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-
-    def do_GET(self) -> None:
-        _, _, query_string = self.path.partition("?")
-        params = dict(urllib.parse.parse_qsl(query_string, keep_blank_values=True))
-        self._respond(params.get("query", ""))
-
-    def do_POST(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length).decode("utf-8")
-        params = dict(urllib.parse.parse_qsl(body, keep_blank_values=True))
+class _MockHandler(BaseHandler):
+    def _handle(self, method: str, body: bytes) -> None:
+        _, _, url_form = self.path.partition("?")
+        form = url_form if method == "get" else body.decode("utf-8", "replace")
+        params = dict(urllib.parse.parse_qsl(form, keep_blank_values=True))
         self._respond(params.get("query", ""))
 
     def _respond(self, query: str) -> None:
@@ -74,17 +67,6 @@ class _MockHandler(BaseHTTPRequestHandler):
                 return
         diagnostic = json.dumps({"error": "no rule matches the query", "query": query})
         self._send(400, diagnostic, "application/json")
-
-    def _send(self, status: int, body: str, media: str) -> None:
-        payload = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", media)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, format: str, *args) -> None:
-        pass
 
 
 def _rule_matches(matcher: str | re.Pattern, query: str) -> bool:
@@ -104,8 +86,7 @@ class MockSparqlEndpoint(BackgroundServer):
 
     @property
     def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}/sparql"
+        return super().url + "/sparql"
 
     @property
     def received(self) -> list[str]:

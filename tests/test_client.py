@@ -11,6 +11,7 @@ from sparqlgate.errors import (
     EndpointUnreachableError,
     ResultParseError,
 )
+from sparqlgate.server import BackgroundServer, BaseHandler
 from sparqlgate.testkit import (
     CITATION_ROWS,
     MockRule,
@@ -135,3 +136,48 @@ def test_dispatch_surfaces_upstream_error_statuses():
             dispatch(endpoint.url, "boom")
     assert info.value.upstream_status == 503
     assert info.value.status == 500
+
+
+# Raw UTF-8 on the wire, not \u escapes, so the client must pick the charset.
+CAFE = json.dumps(
+    {
+        "head": {"vars": ["s"]},
+        "results": {"bindings": [{"s": {"type": "literal", "value": "Café Zürich"}}]},
+    },
+    ensure_ascii=False,
+)
+
+
+def _serve_bytes(media: str, payload: bytes) -> BackgroundServer:
+    """An endpoint that answers every request with these exact bytes."""
+
+    class Handler(BaseHandler):
+        def _handle(self, method: str, body: bytes) -> None:
+            self.send_response(200)
+            self.send_header("Content-Type", media)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+    return BackgroundServer(("127.0.0.1", 0), Handler).start()
+
+
+@pytest.mark.parametrize(
+    "media",
+    [
+        "text/plain",
+        "application/sparql-results+json",
+        "application/sparql-results+json; charset=utf-8",
+    ],
+    ids=["text-plain", "results-no-charset", "results-utf-8"],
+)
+def test_dispatch_reads_the_body_as_utf_8_whatever_the_media_type(media):
+    with _serve_bytes(media, CAFE.encode("utf-8")) as endpoint:
+        _, _, body = dispatch(endpoint.url, "SELECT ?s")
+    assert parse_results(body).rows == [{"s": "Café Zürich"}]
+
+
+def test_dispatch_rejects_a_body_that_is_not_utf_8():
+    with _serve_bytes("text/plain", CAFE.encode("latin-1")) as endpoint:
+        with pytest.raises(ResultParseError):
+            dispatch(endpoint.url, "SELECT ?s")

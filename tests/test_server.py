@@ -8,7 +8,8 @@ import pytest
 import requests
 
 from checks import assert_valid_html
-from sparqlgate.server import GatewayServer, serve
+from sparqlgate.server import MAX_BODY_BYTES, GatewayServer, serve
+from sparqlgate.testkit import MockRule, results_json, start_mock
 
 
 @pytest.fixture()
@@ -143,23 +144,47 @@ def test_dashboard_shows_recorded_numbers(live):
 
 
 # ---------------------------------------------------------------------------
-# Request framing
+# Request framing, on the gateway and on the testkit mock
 # ---------------------------------------------------------------------------
 
+# The mock ignores the request path, so the same raw requests serve both.
 POST_HEAD = b"POST /api/v1/stats/10.3233 HTTP/1.1\r\nHost: gateway\r\n"
 GET_HEAD = b"GET /api/v1/citation-info/10.1108/x HTTP/1.1\r\nHost: gateway\r\n"
 NEXT_GET = b"GET /api/v1/citations/10.1108/x HTTP/1.1\r\nHost: gateway\r\n\r\n"
-
-# A body may come with either method; the gateway skips it the same way.
-HEADS = pytest.mark.parametrize("head", [POST_HEAD, GET_HEAD], ids=["POST", "GET"])
 
 UNSKIPPABLE = [
     (b"Transfer-Encoding: chunked\r\n\r\n3\r\na=1\r\n0\r\n\r\n", 411),
     (b"Content-Length: 7a\r\n\r\na=1&b=2", 400),
     (b"Content-Length: -7\r\n\r\na=1&b=2", 400),
     (b"Content-Length: 3\r\nContent-Length: 7\r\n\r\na=1&b=2", 400),
+    (b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1), 413),
 ]
-UNSKIPPABLE_IDS = ["chunked", "not-a-number", "negative", "conflicting"]
+UNSKIPPABLE_IDS = ["chunked", "not-a-number", "negative", "conflicting", "oversized"]
+
+
+@pytest.fixture()
+def target(request, gateway):
+    """A live gateway, or a live mock endpoint that answers every query with 200."""
+    if request.param == "gateway":
+        server = serve(gateway, port=0)
+    else:
+        server = start_mock([MockRule(re.compile(""), results_json(("x",), []))])
+    yield server
+    server.stop()
+
+
+def on_both_targets(argnames: list[str], cases: list[tuple], ids: list[str]):
+    """Parametrize over the gateway and the mock; gateway ids carry no prefix."""
+    return pytest.mark.parametrize(
+        ["target", *argnames],
+        [(target, *case) for target in ("gateway", "mock") for case in cases],
+        ids=[prefix + name for prefix in ("", "mock-") for name in ids],
+        indirect=["target"],
+    )
+
+
+# A body may come with either method; both servers read it the same way.
+HEADS = on_both_targets(["head"], [(POST_HEAD,), (GET_HEAD,)], ["POST", "GET"])
 
 
 def _statuses(server, raw: bytes) -> list[int]:
@@ -179,28 +204,25 @@ def _statuses(server, raw: bytes) -> list[int]:
 
 
 @HEADS
-def test_post_body_does_not_poison_the_keep_alive_connection(live, head):
-    server, _ = live
+def test_post_body_does_not_poison_the_keep_alive_connection(target, head):
     request = head + b"Content-Length: 7\r\n\r\na=1&b=2"
-    assert _statuses(server, request + NEXT_GET) == [200, 200]
+    assert _statuses(target, request + NEXT_GET) == [200, 200]
 
 
 @HEADS
-def test_truncated_post_body_stops_at_end_of_stream(live, head):
-    server, _ = live
-    assert _statuses(server, head + b"Content-Length: 100\r\n\r\na=1") == [200]
+def test_truncated_post_body_stops_at_end_of_stream(target, head):
+    assert _statuses(target, head + b"Content-Length: 100\r\n\r\na=1") == [200]
 
 
-@pytest.mark.parametrize(
-    "head, framing, status",
+@on_both_targets(
+    ["head", "framing", "status"],
     [(POST_HEAD, *case) for case in UNSKIPPABLE]
     + [(GET_HEAD, *case) for case in UNSKIPPABLE],
-    ids=UNSKIPPABLE_IDS + [f"GET-{name}" for name in UNSKIPPABLE_IDS],
+    UNSKIPPABLE_IDS + [f"GET-{name}" for name in UNSKIPPABLE_IDS],
 )
-def test_unskippable_post_body_is_refused_and_closes(live, head, framing, status):
-    server, _ = live
+def test_unskippable_post_body_is_refused_and_closes(target, head, framing, status):
     # The connection closes after the error, so the pipelined GET goes unanswered.
-    assert _statuses(server, head + framing + NEXT_GET) == [status]
+    assert _statuses(target, head + framing + NEXT_GET) == [status]
 
 
 # ---------------------------------------------------------------------------
