@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="method",
         choices=("get", "post"),
         default="get",
-        help="method used against the SPARQL endpoint (default: get)",
+        help="method of the call; must match the operation's #method (default: get)",
     )
     parser.add_argument(
         "-d",

@@ -80,7 +80,6 @@ PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_]\w*)\}")
 SLOT_RE = re.compile(r"\[\[([A-Za-z_]\w*)\]\]")
 _ALT_SLOT_RE = re.compile(r"\[\{([A-Za-z_]\w*)\}\]")
 _SHAPE_RE = re.compile(r"^([A-Za-z_]\w*)(?:\((.*)\))?$", re.DOTALL)
-_CHAIN_TERM_RE = re.compile(r"^([A-Za-z_]\w*)\((.*)\)$", re.DOTALL)
 NAME_RE = re.compile(r"^[A-Za-z_]\w*$")
 
 
@@ -128,7 +127,6 @@ class ApiSpec:
     contacts: str = ""
     addon: str = ""
     fields: tuple[FieldEntry, ...] = ()
-    extras: tuple[FieldEntry, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -146,7 +144,6 @@ class OperationSpec:
     call_example: str = ""
     output_json_example: str = ""
     fields: tuple[FieldEntry, ...] = ()
-    extras: tuple[FieldEntry, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -238,8 +235,8 @@ def parse_process_chain(text: str) -> tuple[ProcessStep, ...]:
     steps = []
     for term in text.split("-->"):
         term = term.strip()
-        m = _CHAIN_TERM_RE.match(term)
-        if not m:
+        m = _SHAPE_RE.match(term)
+        if not m or m.group(2) is None:
             raise ProcessChainError(f"malformed chain term {term!r}")
         name, body = m.group(1), m.group(2).strip()
         args = []
@@ -306,23 +303,23 @@ def parse_document(text: str) -> ConfigDocument:
     operations: list[OperationSpec] = []
 
     for index, entries in enumerate(split_blocks(text), start=1):
-        _reject_duplicates(entries, index)
-        values = {e.name: e.value for e in entries}
-        block_type = values.get("type")
-        if block_type is None:
-            raise DocumentStructureError("block has no '#type' field", block_index=index)
-        if block_type == "api":
-            if api is not None:
-                raise DocumentStructureError(
-                    "more than one '#type api' block", block_index=index
-                )
-            api = _build_api(entries, values, index)
-        elif block_type == "operation":
-            operations.append(_build_operation(entries, values, index))
-        else:
-            raise DocumentStructureError(
-                f"unknown '#type' value {block_type!r}", block_index=index
-            )
+        # Every error raised while building a block is pinned to it here.
+        try:
+            _reject_duplicates(entries)
+            values = {e.name: e.value for e in entries}
+            block_type = values.get("type")
+            if block_type is None:
+                raise DocumentStructureError("block has no '#type' field")
+            if block_type == "api":
+                if api is not None:
+                    raise DocumentStructureError("more than one '#type api' block")
+                api = _build_api(entries, values, index)
+            elif block_type == "operation":
+                operations.append(_build_operation(entries, values, index))
+            else:
+                raise DocumentStructureError(f"unknown '#type' value {block_type!r}")
+        except ConfigError as exc:
+            raise exc.at_block(index) from None
 
     if api is None:
         raise DocumentStructureError("document has no '#type api' block")
@@ -354,13 +351,11 @@ def serialize_document(doc: ConfigDocument) -> str:
     return "\n\n".join(rendered) + "\n"
 
 
-def _reject_duplicates(entries: list[FieldEntry], index: int) -> None:
+def _reject_duplicates(entries: list[FieldEntry]) -> None:
     seen: set[str] = set()
     for entry in entries:
         if entry.name in seen:
-            raise DuplicateFieldError(
-                "field declared twice", block_index=index, field=entry.name
-            )
+            raise DuplicateFieldError("field declared twice", field=entry.name)
         seen.add(entry.name)
 
 
@@ -370,26 +365,20 @@ def _build_api(
     url = values["url"]
     if not url.startswith("/") or url.endswith("/"):
         raise SpecValidationError(
-            f"api url {url!r} must start with '/' and not end with '/'",
-            block_index=index,
-            field="url",
+            f"api url {url!r} must start with '/' and not end with '/'", field="url"
         )
     endpoint = values.get("endpoint", "")
     if not endpoint:
-        raise SpecValidationError(
-            "api block declares no '#endpoint'", block_index=index, field="endpoint"
-        )
+        raise SpecValidationError("api block declares no '#endpoint'", field="endpoint")
     parts = urllib.parse.urlparse(endpoint)
     if not parts.scheme or not parts.netloc:
         raise SpecValidationError(
-            f"endpoint {endpoint!r} is not an absolute URL",
-            block_index=index,
-            field="endpoint",
+            f"endpoint {endpoint!r} is not an absolute URL", field="endpoint"
         )
-    methods = _parse_methods(values.get("method"), index)
-    extras = tuple(e for e in entries if e.name not in API_FIELDS)
-    for extra in extras:
-        log.warning("block %d: field '#%s' is not an api field", index, extra.name)
+    methods = _parse_methods(values.get("method"))
+    for entry in entries:
+        if entry.name not in API_FIELDS:
+            log.warning("block %d: field '#%s' is not an api field", index, entry.name)
     return ApiSpec(
         url=url,
         endpoint=endpoint,
@@ -402,24 +391,19 @@ def _build_api(
         contacts=values.get("contacts", ""),
         addon=values.get("addon", ""),
         fields=tuple(entries),
-        extras=extras,
     )
 
 
-def _parse_methods(value: str | None, index: int) -> tuple[str, ...]:
+def _parse_methods(value: str | None) -> tuple[str, ...]:
     # '#method' omitted in the api block allows both verbs.
     if value is None:
         return ("get", "post")
     methods = tuple(token.lower() for token in value.split())
     if not methods:
-        raise SpecValidationError(
-            "'#method' declares no methods", block_index=index, field="method"
-        )
+        raise SpecValidationError("'#method' declares no methods", field="method")
     for token in methods:
         if token not in HTTP_METHODS:
-            raise SpecValidationError(
-                f"unknown method {token!r}", block_index=index, field="method"
-            )
+            raise SpecValidationError(f"unknown method {token!r}", field="method")
     return methods
 
 
@@ -429,9 +413,7 @@ def _build_operation(
     template = values["url"]
     if not template.startswith("/"):
         raise SpecValidationError(
-            f"operation url {template!r} must start with '/'",
-            block_index=index,
-            field="url",
+            f"operation url {template!r} must start with '/'", field="url"
         )
     declared = placeholder_names(template)
 
@@ -440,42 +422,34 @@ def _build_operation(
     if len(methods) != 1 or methods[0].lower() not in HTTP_METHODS:
         raise SpecValidationError(
             f"operation needs exactly one method, got {method_value!r}",
-            block_index=index,
             field="method",
         )
 
     sparql_raw = values.get("sparql", "")
     if not sparql_raw:
-        raise SpecValidationError(
-            "operation block declares no '#sparql'", block_index=index, field="sparql"
-        )
+        raise SpecValidationError("operation block declares no '#sparql'", field="sparql")
     sparql = normalize_slots(sparql_raw)
     undeclared = slot_names(sparql) - set(declared)
     if undeclared:
         raise SpecValidationError(
             f"sparql template references undeclared parameters: "
             f"{', '.join(sorted(undeclared))}",
-            block_index=index,
             field="sparql",
         )
 
-    shapes = []
-    for name in declared:
-        if name in values:
-            shapes.append(_at_block(index, parse_param_shape, name, values[name]))
-        else:
-            shapes.append(ParamShape(name))
+    shapes = [
+        parse_param_shape(name, values[name]) if name in values else ParamShape(name)
+        for name in declared
+    ]
+    field_types = parse_field_types(values.get("field_type", ""))
 
-    field_types = _at_block(index, parse_field_types, values.get("field_type", ""))
-
-    preprocess = _parse_chain_field(values, "preprocess", index)
-    postprocess = _parse_chain_field(values, "postprocess", index)
+    preprocess = _parse_chain_field(values, "preprocess")
+    postprocess = _parse_chain_field(values, "postprocess")
     for step in preprocess:
         for arg in step.args:
             if arg not in declared:
                 raise SpecValidationError(
                     f"preprocess argument {arg!r} is not a declared parameter",
-                    block_index=index,
                     field="preprocess",
                 )
     for step in postprocess:
@@ -483,14 +457,13 @@ def _build_operation(
             if arg not in field_types:
                 raise SpecValidationError(
                     f"postprocess argument {arg!r} is not listed in '#field_type'",
-                    block_index=index,
                     field="postprocess",
                 )
 
     known = OPERATION_FIELDS | set(declared)
-    extras = tuple(e for e in entries if e.name not in known)
-    for extra in extras:
-        log.warning("block %d: field '#%s' is not an operation field", index, extra.name)
+    for entry in entries:
+        if entry.name not in known:
+            log.warning("block %d: field '#%s' is not an operation field", index, entry.name)
 
     return OperationSpec(
         url_template=template,
@@ -504,27 +477,14 @@ def _build_operation(
         call_example=values.get("call", ""),
         output_json_example=values.get("output_json", ""),
         fields=tuple(entries),
-        extras=extras,
     )
 
 
-def _parse_chain_field(
-    values: dict[str, str], name: str, index: int
-) -> tuple[ProcessStep, ...]:
+def _parse_chain_field(values: dict[str, str], name: str) -> tuple[ProcessStep, ...]:
     text = values.get(name, "")
     if not text:
         return ()
     try:
         return parse_process_chain(text)
     except ProcessChainError as exc:
-        raise ProcessChainError(
-            exc.bare_message, block_index=index, field=name
-        ) from None
-
-
-def _at_block(index: int, parser, *args):
-    """Run a field-level parser, pinning any config error to the block."""
-    try:
-        return parser(*args)
-    except ConfigError as exc:
-        raise exc.at_block(index) from None
+        raise ProcessChainError(exc.bare_message, field=name) from None

@@ -13,8 +13,8 @@ import json
 class ConfigError(Exception):
     """Base class for configuration-document problems.
 
-    Carries the zero-based block index and the field name that triggered
-    the error, when known, so messages point at the offending spot.
+    Carries the block index (the first block is 1) and the field name that
+    triggered the error, when known, so messages point at the offending spot.
     """
 
     def __init__(self, message: str, *, block_index: int | None = None, field: str | None = None):

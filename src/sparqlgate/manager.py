@@ -7,7 +7,8 @@ problem. A call URL is served by the document whose api base is the
 longest prefix of its path.
 
 The same execution path backs every surface — CLI one-shot, HTTP server,
-and this facade — which is what makes their bodies byte-identical.
+and this facade — which is what makes their bodies byte-identical, and it
+is also the one place where each call is recorded in the statistics.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import urllib.parse
 from dataclasses import dataclass
 
 from .config import ConfigDocument, OperationSpec, load_document
-from .docs import CallStats
+from .docs import CallStats, operation_id
 from .errors import NotFoundError, SpecValidationError, error_body
 from .pipeline import (
     CallOutcome,
@@ -84,25 +85,30 @@ class ApiManager:
     def call(
         self, url: str, method: str = "get", accept: str | None = None
     ) -> tuple[CallOutcome, LoadedApi | None, OperationSpec | None]:
-        """Execute one complete call URL; never raises.
+        """Execute one complete call URL and record it in ``stats``; never raises.
 
         Returns the outcome plus the document and operation that served it
-        (None on routing failure), for callers that record statistics.
+        (None on routing failure). A call that matched no operation counts
+        in the global statistics only.
         """
         path, _, query = url.partition("?")
         api = self.find_api(path)
+        operation = None
         if api is None:
             exc = NotFoundError(f"no loaded api serves {path!r}")
-            return CallOutcome(404, error_body(exc), JSON_MEDIA_TYPE), None, None
-        request = CallRequest(
-            full_path=path,
-            method=method.lower(),
-            query_params=_query_pairs(query),
-            accept_header=accept,
-        )
-        outcome, operation = execute(
-            api.document.api, api.routes, api.registry, request
-        )
+            outcome = CallOutcome(404, error_body(exc), JSON_MEDIA_TYPE)
+        else:
+            request = CallRequest(
+                full_path=path,
+                method=method.lower(),
+                query_params=_query_pairs(query),
+                accept_header=accept,
+            )
+            outcome, operation = execute(
+                api.document.api, api.routes, api.registry, request
+            )
+        op_id = operation_id(api.document.api, operation) if operation is not None else None
+        self.stats.record_call(op_id, outcome.status)
         return outcome, api, operation
 
     def get_op(self, op_complete_url: str) -> "OperationHandle":

@@ -2,12 +2,14 @@
 
 The handler works on the raw request target, so percent-encoded slashes in
 parameter values never gain path meaning. Operation calls and unmatched
-paths are recorded in the call statistics; dashboard and documentation
-page views are not, so reading the dashboard never changes what it shows.
+paths go through ``ApiManager.call``, which records them in the call
+statistics; dashboard and documentation page views do not, so reading the
+dashboard never changes what it shows.
 
 ``BaseHandler`` is the HTTP side of the gateway and the testkit mock alike:
-one request-body framing path (413 above ``MAX_BODY_BYTES``), one response
-writer and one access log. Subclasses implement only ``_handle``.
+one request-body framing path (413 above ``MAX_BODY_BYTES``), one socket
+timeout (``HANDLER_TIMEOUT_S``), one response writer and one access log.
+Subclasses implement only ``_handle``.
 """
 
 from __future__ import annotations
@@ -16,19 +18,23 @@ import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .docs import operation_id, render_dashboard, render_docs
+from .docs import render_dashboard, render_docs
 from .manager import ApiManager
 
 log = logging.getLogger(__name__)
 
 HTML_MEDIA_TYPE = "text/html; charset=utf-8"
 MAX_BODY_BYTES = 1 << 20  # larger request bodies get 413 and are never read
+# A connection idle this long, between requests or inside a body, is closed.
+HANDLER_TIMEOUT_S = 30.0
 
 
 class BaseHandler(BaseHTTPRequestHandler):
     """HTTP/1.1 body framing and response writing; subclasses add ``_handle``."""
 
     protocol_version = "HTTP/1.1"
+    # handle_one_request catches the TimeoutError and closes the connection.
+    timeout = HANDLER_TIMEOUT_S
 
     def do_GET(self) -> None:
         self._read_body_then_handle("get")
@@ -81,13 +87,7 @@ class _Handler(BaseHandler):
             return
 
         accept = self.headers.get("Accept")
-        outcome, served_api, operation = manager.call(self.path, method, accept)
-        op_id = (
-            operation_id(served_api.document.api, operation)
-            if served_api is not None and operation is not None
-            else None
-        )
-        manager.stats.record_call(op_id, outcome.status)
+        outcome, _, _ = manager.call(self.path, method, accept)
         self._send(outcome.status, outcome.body, f"{outcome.content_type}; charset=utf-8")
 
 

@@ -284,6 +284,187 @@ def test_chain_arguments_must_reference_known_names():
         )
 
 
+_OP = "#method get"
+_API = "#type api"
+_SECOND_API = "\n#url /api/v2\n#type api\n#endpoint http://127.0.0.1:1/sparql\n"
+
+
+def _in_op(text: str) -> str:
+    return MINIMAL.replace(_OP, f"{_OP}\n{text}")
+
+
+# (document, error class, block_index, field, exact message); blocks count from 1.
+LOAD_ERRORS = {
+    "duplicate-api-field": (
+        MINIMAL.replace(_API, _API + "\n#title a\n#title b"),
+        DuplicateFieldError, 1, "title",
+        "field declared twice (block 1, field #title)",
+    ),
+    "duplicate-operation-field": (
+        _in_op("#sparql again"),
+        DuplicateFieldError, 2, "sparql",
+        "field declared twice (block 2, field #sparql)",
+    ),
+    "preamble": (
+        "preamble\n" + MINIMAL,
+        DocumentStructureError, None, None,
+        "content before the first '#url' line: 'preamble'",
+    ),
+    "missing-type": (
+        MINIMAL.replace(_API + "\n", ""),
+        DocumentStructureError, 1, None,
+        "block has no '#type' field (block 1)",
+    ),
+    "unknown-type": (
+        MINIMAL.replace("#type operation", "#type endpoint"),
+        DocumentStructureError, 2, None,
+        "unknown '#type' value 'endpoint' (block 2)",
+    ),
+    "no-api-block": (
+        MINIMAL.partition("\n\n")[2],
+        DocumentStructureError, None, None,
+        "document has no '#type api' block",
+    ),
+    "second-api-block": (
+        MINIMAL + _SECOND_API,
+        DocumentStructureError, 3, None,
+        "more than one '#type api' block (block 3)",
+    ),
+    "api-url-unrooted": (
+        MINIMAL.replace("#url /api/v1", "#url api/v1"),
+        SpecValidationError, 1, "url",
+        "api url 'api/v1' must start with '/' and not end with '/' (block 1, field #url)",
+    ),
+    "api-url-terminated": (
+        MINIMAL.replace("#url /api/v1", "#url /api/v1/"),
+        SpecValidationError, 1, "url",
+        "api url '/api/v1/' must start with '/' and not end with '/' (block 1, field #url)",
+    ),
+    "endpoint-missing": (
+        MINIMAL.replace("#endpoint http://127.0.0.1:1/sparql\n", ""),
+        SpecValidationError, 1, "endpoint",
+        "api block declares no '#endpoint' (block 1, field #endpoint)",
+    ),
+    "endpoint-relative": (
+        MINIMAL.replace("http://127.0.0.1:1/sparql", "sparql"),
+        SpecValidationError, 1, "endpoint",
+        "endpoint 'sparql' is not an absolute URL (block 1, field #endpoint)",
+    ),
+    "api-method-token": (
+        MINIMAL.replace(_API, _API + "\n#method get put"),
+        SpecValidationError, 1, "method",
+        "unknown method 'put' (block 1, field #method)",
+    ),
+    "api-method-empty": (
+        MINIMAL.replace(_API, _API + "\n#method"),
+        SpecValidationError, 1, "method",
+        "'#method' declares no methods (block 1, field #method)",
+    ),
+    "operation-url-unrooted": (
+        MINIMAL.replace("#url /works/{id}", "#url works/{id}"),
+        SpecValidationError, 2, "url",
+        "operation url 'works/{id}' must start with '/' (block 2, field #url)",
+    ),
+    "operation-two-methods": (
+        MINIMAL.replace(_OP, "#method get post"),
+        SpecValidationError, 2, "method",
+        "operation needs exactly one method, got 'get post' (block 2, field #method)",
+    ),
+    "operation-no-method": (
+        MINIMAL.replace(_OP + "\n", ""),
+        SpecValidationError, 2, "method",
+        "operation needs exactly one method, got '' (block 2, field #method)",
+    ),
+    "operation-method-outside-api": (
+        MINIMAL.replace(_API, _API + "\n#method post"),
+        SpecValidationError, None, "method",
+        "operation '/works/{id}' uses method 'get', not among the api methods post "
+        "(field #method)",
+    ),
+    "sparql-missing": (
+        MINIMAL.replace('#sparql SELECT ?s WHERE { ?s ?p "[[id]]" }\n', ""),
+        SpecValidationError, 2, "sparql",
+        "operation block declares no '#sparql' (block 2, field #sparql)",
+    ),
+    "undeclared-slot": (
+        MINIMAL.replace("[[id]]", "[[oci]]"),
+        SpecValidationError, 2, "sparql",
+        "sparql template references undeclared parameters: oci (block 2, field #sparql)",
+    ),
+    "shape-unknown-type": (
+        _in_op("#id widget"),
+        ParamShapeError, 2, "id",
+        "unknown type 'widget' in shape 'widget' (block 2, field #id)",
+    ),
+    "shape-malformed": (
+        _in_op("#id int(("),
+        ParamShapeError, 2, "id",
+        "malformed shape 'int((' (block 2, field #id)",
+    ),
+    "shape-pattern": (
+        _in_op("#id str([)"),
+        ParamShapeError, 2, "id",
+        "shape pattern '[' does not compile: unterminated character set at position 0 "
+        "(block 2, field #id)",
+    ),
+    "field-type-malformed": (
+        _in_op("#field_type str"),
+        ParamShapeError, 2, "field_type",
+        "malformed field type 'str' (block 2, field #field_type)",
+    ),
+    "field-type-unknown-type": (
+        _in_op("#field_type widget(s)"),
+        ParamShapeError, 2, "field_type",
+        "unknown type 'widget' in field type 'widget(s)' (block 2, field #field_type)",
+    ),
+    "field-type-bad-variable": (
+        _in_op("#field_type str(a-b)"),
+        ParamShapeError, 2, "field_type",
+        "bad variable name 'a-b' in field type 'str(a-b)' (block 2, field #field_type)",
+    ),
+    "chain-term-without-parentheses": (
+        _in_op("#preprocess lower"),
+        ProcessChainError, 2, "preprocess",
+        "malformed chain term 'lower' (block 2, field #preprocess)",
+    ),
+    "chain-term-empty": (
+        _in_op("#preprocess lower(id) --> "),
+        ProcessChainError, 2, "preprocess",
+        "malformed chain term '' (block 2, field #preprocess)",
+    ),
+    "chain-bad-argument": (
+        _in_op("#postprocess clean(a-b)"),
+        ProcessChainError, 2, "postprocess",
+        "bad argument 'a-b' in chain term 'clean(a-b)' (block 2, field #postprocess)",
+    ),
+    "preprocess-undeclared-argument": (
+        _in_op("#preprocess lower(doi)"),
+        SpecValidationError, 2, "preprocess",
+        "preprocess argument 'doi' is not a declared parameter (block 2, field #preprocess)",
+    ),
+    "postprocess-unlisted-argument": (
+        _in_op("#postprocess clean(score)"),
+        SpecValidationError, 2, "postprocess",
+        "postprocess argument 'score' is not listed in '#field_type' "
+        "(block 2, field #postprocess)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, error_class, block_index, field_name, message",
+    list(LOAD_ERRORS.values()),
+    ids=list(LOAD_ERRORS),
+)
+def test_load_errors_pin_block_and_field(text, error_class, block_index, field_name, message):
+    with pytest.raises(error_class) as caught:
+        parse_document(text)
+    exc = caught.value
+    assert (type(exc), exc.block_index, exc.field, str(exc)) == (
+        error_class, block_index, field_name, message
+    )
+
+
 def test_unrecognized_hash_tokens_continue_the_previous_value():
     # "#color" is not a field name anywhere, so the line is value content.
     text = MINIMAL.replace("#type api", "#title Demo\n#color blue\n#type api")
@@ -292,11 +473,11 @@ def test_unrecognized_hash_tokens_continue_the_previous_value():
 
 def test_misplaced_fields_are_kept_as_extras_with_a_warning(caplog):
     # "#call" is an operation field; inside an api block it still splits,
-    # but lands in extras instead of gaining meaning.
+    # and is kept in the block's fields without gaining meaning.
     text = MINIMAL.replace("#type api", "#type api\n#call /example")
     with caplog.at_level("WARNING"):
         doc = parse_document(text)
-    assert FieldEntry("call", "/example") in doc.api.extras
+    assert FieldEntry("call", "/example") in doc.api.fields
     assert any("call" in r.message for r in caplog.records)
 
 

@@ -3,12 +3,13 @@ from __future__ import annotations
 import json
 import re
 import socket
+import time
 
 import pytest
 import requests
 
 from checks import assert_valid_html
-from sparqlgate.server import MAX_BODY_BYTES, GatewayServer, serve
+from sparqlgate.server import MAX_BODY_BYTES, BaseHandler, GatewayServer, serve
 from sparqlgate.testkit import MockRule, results_json, start_mock
 
 
@@ -135,6 +136,20 @@ def test_calls_are_recorded_with_operation_attribution(live):
     assert set(snap["operations"]) == {"/api/v1/citations/{doi}"}
 
 
+def test_embedded_calls_are_recorded_and_page_views_are_not(live):
+    server, manager = live
+    manager.call("/api/v1/citations/10.1108/a")
+    manager.get_op("/api/v1/citations/10.1108/b").exec()
+    manager.call("/elsewhere/x")  # no loaded api serves it: global only
+    requests.get(server.url + "/")
+    requests.get(server.url + "/api/v1")
+
+    snap = manager.stats.snapshot()
+    assert (snap["global"]["total"], snap["global"]["2xx"], snap["global"]["4xx"]) == (3, 2, 1)
+    assert set(snap["operations"]) == {"/api/v1/citations/{doi}"}
+    assert snap["operations"]["/api/v1/citations/{doi}"]["total"] == 2
+
+
 def test_dashboard_shows_recorded_numbers(live):
     server, _ = live
     requests.get(server.url + "/api/v1/citations/10.1108/a")
@@ -223,6 +238,25 @@ def test_truncated_post_body_stops_at_end_of_stream(target, head):
 def test_unskippable_post_body_is_refused_and_closes(target, head, framing, status):
     # The connection closes after the error, so the pipelined GET goes unanswered.
     assert _statuses(target, head + framing + NEXT_GET) == [status]
+
+
+# A client that goes quiet, before a request line or inside a body, is cut off.
+QUIET = on_both_targets(
+    ["raw"],
+    [(b"",), (POST_HEAD + b"Content-Length: 10\r\n\r\nabc",)],
+    ["idle", "short-body"],
+)
+
+
+@QUIET
+def test_quiet_connection_is_closed_after_the_handler_timeout(target, raw, monkeypatch):
+    assert 0 < BaseHandler.timeout <= 60  # shipped finite; shortened for the test
+    monkeypatch.setattr(BaseHandler, "timeout", 0.3)
+    with socket.create_connection(target.server_address[:2], timeout=5) as sock:
+        sock.sendall(raw)
+        started = time.monotonic()
+        assert sock.recv(65536) == b""
+        assert time.monotonic() - started < 1.0
 
 
 # ---------------------------------------------------------------------------
