@@ -116,11 +116,13 @@ def parse_results(
             if bound is None:
                 row[variable] = ""
                 continue
-            if not isinstance(bound, dict) or "value" not in bound:
+            try:
+                value = bound["value"]
+            except (KeyError, TypeError):
                 raise ResultParseError(
                     f"malformed SPARQL results document: bad binding for {variable!r}"
-                )
-            row[variable] = str(bound["value"])
+                ) from None
+            row[variable] = value if isinstance(value, str) else str(value)
         rows.append(row)
 
     declared = field_types or {}

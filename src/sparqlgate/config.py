@@ -300,7 +300,7 @@ def slot_names(sparql: str) -> set[str]:
 def parse_document(text: str) -> ConfigDocument:
     """Parse one configuration document into its api and operation specs."""
     api: ApiSpec | None = None
-    operations: list[OperationSpec] = []
+    operations: list[tuple[int, OperationSpec]] = []
 
     for index, entries in enumerate(split_blocks(text), start=1):
         # Every error raised while building a block is pinned to it here.
@@ -315,7 +315,7 @@ def parse_document(text: str) -> ConfigDocument:
                     raise DocumentStructureError("more than one '#type api' block")
                 api = _build_api(entries, values, index)
             elif block_type == "operation":
-                operations.append(_build_operation(entries, values, index))
+                operations.append((index, _build_operation(entries, values, index)))
             else:
                 raise DocumentStructureError(f"unknown '#type' value {block_type!r}")
         except ConfigError as exc:
@@ -323,14 +323,16 @@ def parse_document(text: str) -> ConfigDocument:
 
     if api is None:
         raise DocumentStructureError("document has no '#type api' block")
-    for op in operations:
+    # The api block may come after its operations, so methods are checked last.
+    for index, op in operations:
         if op.method not in api.methods:
             raise SpecValidationError(
                 f"operation {op.url_template!r} uses method {op.method!r}, "
                 f"not among the api methods {'/'.join(api.methods)}",
+                block_index=index,
                 field="method",
             )
-    return ConfigDocument(api=api, operations=tuple(operations))
+    return ConfigDocument(api=api, operations=tuple(op for _, op in operations))
 
 
 def load_document(path: str) -> ConfigDocument:

@@ -64,7 +64,7 @@ class ApiManager:
             if document.api.addon:
                 _load_addon(path, document.api.addon, registry)
             for operation in document.operations:
-                registry.validate_chains(operation)
+                registry.validate_chains(base, operation)
             routes = compile_routes(document.api, document.operations)
             self.apis.append(LoadedApi(document, routes, registry, path))
 

@@ -1,11 +1,12 @@
 """End-to-end execution of one call.
 
 The stages run in a fixed order: route resolution, typed coercion of the
-path parameters, the preprocess chain, template substitution, endpoint
-dispatch, results parsing, the postprocess chain, refinement parsing, and
-finally refinement application with serialization. Preprocess, postprocess
-and refinements are true no-ops when absent: without them the body is
-exactly the serialized parse of the endpoint response.
+path parameters, the preprocess chain, refinement parsing, template
+substitution, endpoint dispatch, results parsing, the postprocess chain, and
+finally refinement application with serialization. Refinements are parsed
+before the endpoint is asked, so a malformed one costs no upstream query.
+Preprocess, postprocess and refinements are true no-ops when absent: without
+them the body is exactly the serialized parse of the endpoint response.
 
 Every failure surfaces as a CallOutcome whose status mirrors the error
 (404/405 routing, 400 bad parameter or refinement, 500 endpoint or
@@ -71,18 +72,23 @@ class ProcessRegistry:
     def register_table(self, name: str, fn: TableTransform) -> None:
         self.table_fns[name] = fn
 
-    def validate_chains(self, operation: OperationSpec) -> None:
-        """Check every chained function exists; raised at spec-load time."""
+    def validate_chains(self, base: str, operation: OperationSpec) -> None:
+        """Check every chained function exists; raised at spec-load time.
+
+        ``base`` is the api's mount point; with the URL template it names
+        the operation in the error.
+        """
+        where = f"operation {base + operation.url_template!r}"
         for step in operation.preprocess:
             if step.function not in self.param_fns:
                 raise UnknownFunctionError(
-                    f"preprocess function {step.function!r} is not registered",
+                    f"preprocess function {step.function!r} of {where} is not registered",
                     field="preprocess",
                 )
         for step in operation.postprocess:
             if step.function not in self.table_fns:
                 raise UnknownFunctionError(
-                    f"postprocess function {step.function!r} is not registered",
+                    f"postprocess function {step.function!r} of {where} is not registered",
                     field="postprocess",
                 )
 
@@ -191,12 +197,11 @@ def execute(
             for shape in operation.params
         }
         bindings = run_preprocess(registry, operation.preprocess, bindings)
+        plan = parse_refinements(request.query_params)
         query = substitute(operation.sparql, bindings)
         _, _, body = dispatch(api.endpoint, query, operation.method)
         table = parse_results(body, field_types=operation.field_types)
         table = run_postprocess(registry, operation.postprocess, table)
-
-        plan = parse_refinements(request.query_params)
         content_type, text = apply_plan(table, plan, request.accept_header)
         return CallOutcome(200, text, content_type), operation
     except CallError as exc:

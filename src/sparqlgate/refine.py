@@ -12,6 +12,10 @@ interleaved in the URL. Within one kind, parameters apply in URL order.
 
 Typed order follows the field's declared ``#field_type`` through ``values``:
 a sort keys each row once with ``sort_key``, a typed filter uses ``compare``.
+
+Both writers are hand-written for speed and pinned byte for byte: JSON to
+``json.dumps(..., ensure_ascii=False, indent=2)``, CSV to minimal quoting
+(a field is quoted when it holds a comma, a quote, CR or LF).
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ JSON_MEDIA_TYPE = "application/json"
 _FILTER_RE = re.compile(r"^([A-Za-z_]\w*):(.*)$", re.DOTALL)
 _SORT_RE = re.compile(r"^(asc|desc)\(\s*([A-Za-z_]\w*)\s*\)$")
 _JSON_RE = re.compile(r'^(array|dict)\(\s*"([^"]*)"\s*,(.*)\)$', re.DOTALL)
+_csv_needs_quotes = re.compile(r'[,"\n\r]').search
+# The C string encoder that json.dumps itself uses with ensure_ascii=False.
+_encode_text = json.encoder.encode_basestring
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +331,45 @@ def _csv_record(cells) -> str:
 
 
 def _csv_field(text: str) -> str:
-    if any(ch in text for ch in (",", '"', "\n", "\r")):
+    if _csv_needs_quotes(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
 def serialize_json(table: ResultTable) -> str:
-    """JSON array of row objects, keys in header order."""
-    objects = [{name: row[name] for name in table.header} for row in table.rows]
-    return json.dumps(objects, ensure_ascii=False, indent=2)
+    """JSON array of row objects, keys in header order.
+
+    Written row by row, and byte-identical to ``json.dumps(objects,
+    ensure_ascii=False, indent=2)``, whose ``indent`` forces CPython's
+    pure-Python encoder. A repeated header name keeps its first position.
+    """
+    if not table.rows:
+        return "[]"
+    names = tuple(dict.fromkeys(table.header))
+    if not names:
+        return "[\n" + ",\n".join("  {}" for _ in table.rows) + "\n]"
+    keys = [(_encode_text(name) + ": ", name) for name in names]
+    return "[\n  {\n    " + "\n  },\n  {\n    ".join(
+        ",\n    ".join([key + _json_value(row[name], "    ") for key, name in keys])
+        for row in table.rows
+    ) + "\n  }\n]"
+
+
+def _json_value(value, indent: str) -> str:
+    """One value in the ``indent=2`` layout, on a line indented by ``indent``."""
+    if isinstance(value, str):
+        return _encode_text(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_json_value(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        if not value:
+            return "{}"
+        items = [_encode_text(k) + ": " + _json_value(v, inner) for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    # Numbers, None, tuples and non-str keys only come from plugins; json writes
+    # them, and its lines are shifted to this depth.
+    return json.dumps(value, ensure_ascii=False, indent=2).replace("\n", "\n" + indent)

@@ -41,6 +41,53 @@ GOLDEN_CSV = (
     "10.3233/sw-160224,10.1108/jd-12-2013-0166\n"
 )
 
+# Byte-exact JSON bodies: the layout json.dumps(records, indent=2) writes.
+GOLDEN_JSON_PLAIN = """[
+  {
+    "citing": "10.3233/ds-190019",
+    "cited": "10.1108/jd-12-2013-0166"
+  },
+  {
+    "citing": "10.3233/sw-160224",
+    "cited": "10.1108/jd-12-2013-0166"
+  }
+]"""
+
+GOLDEN_JSON_NESTED = """[
+  {
+    "citing": {
+      "prefix": "10.3233",
+      "suffix": "ds-190019"
+    },
+    "cited": [
+      {
+        "one": "1",
+        "two": ".1108"
+      },
+      {
+        "one": "jd-12-2",
+        "two": "13-0166"
+      }
+    ]
+  },
+  {
+    "citing": {
+      "prefix": "10.3233",
+      "suffix": "sw-160224"
+    },
+    "cited": [
+      {
+        "one": "1",
+        "two": ".1108"
+      },
+      {
+        "one": "jd-12-2",
+        "two": "13-0166"
+      }
+    ]
+  }
+]"""
+
 RECORDS_PLAIN = [
     {"citing": "10.3233/ds-190019", "cited": "10.1108/jd-12-2013-0166"},
     {"citing": "10.3233/sw-160224", "cited": "10.1108/jd-12-2013-0166"},
@@ -86,18 +133,22 @@ def test_golden_fixture_outputs(gateway):
         outcome, _, _ = gateway.call(base)
         assert outcome.status == 200
         assert json.loads(outcome.body) == RECORDS_PLAIN
+        assert outcome.body == GOLDEN_JSON_PLAIN
 
         steps = [("json", 'array("/", cited)')]
         outcome, _, _ = gateway.call(base + "?" + _encode(steps))
         assert json.loads(outcome.body) == RECORDS_SPLIT_CITED
+        assert outcome.body == json.dumps(RECORDS_SPLIT_CITED, indent=2)
 
         steps.append(("json", 'dict("/", citing, prefix, suffix)'))
         outcome, _, _ = gateway.call(base + "?" + _encode(steps))
         assert json.loads(outcome.body) == RECORDS_SPLIT_BOTH
+        assert outcome.body == json.dumps(RECORDS_SPLIT_BOTH, indent=2)
 
         steps.append(("json", 'dict("0", cited, one, two)'))
         outcome, _, _ = gateway.call(base + "?" + _encode(steps))
         assert json.loads(outcome.body) == RECORDS_NESTED
+        assert outcome.body == GOLDEN_JSON_NESTED
 
         assert time.monotonic() - started < 5.0
 

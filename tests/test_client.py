@@ -95,6 +95,18 @@ def test_malformed_results_documents_are_rejected():
     for body in bad:
         with pytest.raises(ResultParseError):
             parse_results(body)
+    # A binding that is not an object with a "value" names its variable.
+    for binding in ({"type": "literal"}, ["x"], "text", 7, 2.5, True, False):
+        body = json.dumps({"head": {"vars": ["x"]}, "results": {"bindings": [{"x": binding}]}})
+        with pytest.raises(ResultParseError) as caught:
+            parse_results(body)
+        assert str(caught.value) == "malformed SPARQL results document: bad binding for 'x'"
+
+
+def test_null_binding_reads_as_empty_text():
+    body = json.dumps({"head": {"vars": ["x", "y"]},
+                       "results": {"bindings": [{"x": None, "y": {"value": 3}}]}})
+    assert parse_results(body).rows == [{"x": "", "y": "3"}]
 
 
 def test_replaced_shares_header_and_types():

@@ -377,9 +377,9 @@ LOAD_ERRORS = {
     ),
     "operation-method-outside-api": (
         MINIMAL.replace(_API, _API + "\n#method post"),
-        SpecValidationError, None, "method",
+        SpecValidationError, 2, "method",
         "operation '/works/{id}' uses method 'get', not among the api methods post "
-        "(field #method)",
+        "(block 2, field #method)",
     ),
     "sparql-missing": (
         MINIMAL.replace('#sparql SELECT ?s WHERE { ?s ?p "[[id]]" }\n', ""),

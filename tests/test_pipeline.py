@@ -133,8 +133,15 @@ def test_validate_chains_requires_registered_names():
     config, _ = fixture_citations()
     doc = parse_document(config.replace("lower(doi)", "mangle(doi)", 1))
     with pytest.raises(UnknownFunctionError):
-        registry.validate_chains(doc.operations[0])
-    registry.validate_chains(doc.operations[2])  # no chains, nothing to check
+        registry.validate_chains(doc.api.url, doc.operations[0])
+    doc = parse_document(config.replace("lower(doi)", "lowr(doi)", 1))
+    with pytest.raises(UnknownFunctionError) as caught:
+        registry.validate_chains(doc.api.url, doc.operations[0])
+    assert str(caught.value) == (
+        "preprocess function 'lowr' of operation '/api/v1/citations/{doi}' "
+        "is not registered (field #preprocess)"
+    )
+    registry.validate_chains(doc.api.url, doc.operations[2])  # no chains, nothing to check
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +174,8 @@ def test_routing_failures_map_to_404_and_405(wired):
     assert wrong.status == 405
 
 
-def test_bad_refinement_maps_to_400(wired):
+def test_bad_refinement_maps_to_400(wired, mock_endpoint):
+    before = len(mock_endpoint.received)
     outcome = _call(
         wired,
         "/api/v1/citations/10.1108/x",
@@ -177,6 +185,20 @@ def test_bad_refinement_maps_to_400(wired):
     payload = json.loads(outcome.body)
     assert payload["status"] == 400
     assert "sideways" in payload["error"]
+    # Rejected before the endpoint is queried.
+    assert len(mock_endpoint.received) == before
+
+
+def test_bad_refinement_beats_an_unreachable_endpoint(monkeypatch):
+    monkeypatch.setattr(client, "TIMEOUT", 0.5)
+    config, _ = fixture_citations("http://127.0.0.1:1/sparql")
+    doc = parse_document(config)
+    routes = compile_routes(doc.api, doc.operations)
+    registry = register_builtins(ProcessRegistry())
+    request = CallRequest(
+        "/api/v1/citations/10.1108/x", query_params=(("sort", "sideways(citing)"),)
+    )
+    assert execute(doc.api, routes, registry, request)[0].status == 400
 
 
 def test_json_reshape_under_csv_maps_to_400(wired):

@@ -464,6 +464,103 @@ def test_json_and_csv_agree_on_cell_content():
         assert from_json == [list(r) for r in from_csv]
 
 
+# Byte-identity of the hand-written writers against test-local oracles.
+
+_TEXT_PIECES = (
+    "a", "Zz", "é", "漢字", "😀", '"', "\\", "/", ",", " ", "\n", "\r", "\t",
+    "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\udfff", "\ufeff",
+)
+
+
+def _random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(_TEXT_PIECES) for _ in range(rng.randrange(0, 5)))
+
+
+def _random_json_cell(rng: random.Random, depth: int):
+    """Any cell a table can hold, plugin-made ones included; nests up to ``depth``."""
+    roll = rng.random() if depth else 0.0
+    if roll < 0.45:
+        return rng.choice((
+            _random_text(rng), _random_text(rng), "", rng.randint(-10**20, 10**20),
+            rng.uniform(-1e9, 1e9), float("nan"), float("inf"), -0.0, None, True, False,
+        ))
+    n = rng.randrange(0, 4)
+    if roll < 0.7:
+        return [_random_json_cell(rng, depth - 1) for _ in range(n)]
+    if roll < 0.9:
+        return {_random_text(rng): _random_json_cell(rng, depth - 1) for _ in range(n)}
+    if roll < 0.95:
+        keys = (rng.randint(-5, 5), None, True, 2.5, _random_text(rng))
+        return {rng.choice(keys): _random_json_cell(rng, depth - 1) for _ in range(n)}
+    return tuple(_random_json_cell(rng, depth - 1) for _ in range(n))
+
+
+def _json_oracle(table: ResultTable) -> str:
+    objects = [{name: row[name] for name in table.header} for row in table.rows]
+    return json.dumps(objects, ensure_ascii=False, indent=2)
+
+
+def test_json_writer_matches_json_dumps_on_random_tables():
+    rng = random.Random(8)
+    names = ("a", "b", "c", "é", 'q"t', "")
+    for _ in range(2500):
+        # Repeated names are allowed; an empty header happens too.
+        header = tuple(rng.choice(names) for _ in range(rng.randrange(0, 5)))
+        depth = rng.randrange(0, 5)
+        rows = [
+            {name: _random_json_cell(rng, depth) for name in header}
+            for _ in range(rng.randrange(0, 4))
+        ]
+        table = _table(header, rows)
+        assert serialize_json(table) == _json_oracle(table)
+
+
+def test_json_writer_edge_cases():
+    deep = {"k": [[{"x": ["y", [], {}]}], {}]}
+    for header, rows in (
+        (("x",), []),
+        ((), []),
+        ((), [{}, {}]),
+        (("x", "y", "x"), [{"x": "1", "y": "2"}]),
+        (("x",), [{"x": deep}, {"x": [deep, (deep, None)]}]),
+        (("x",), [{"x": {1: "one", None: [1.5, float("nan")]}}]),
+    ):
+        table = _table(header, rows)
+        assert serialize_json(table) == _json_oracle(table)
+
+
+def _csv_oracle(table: ResultTable) -> str:
+    """The quoting rule before the writer was tuned, kept verbatim."""
+    def field(text):
+        if any(ch in text for ch in (",", '"', "\n", "\r")):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    def record(cells):
+        line = ",".join(field(text) for text in cells)
+        return line if line else '""'
+
+    lines = [record(table.header)]
+    for row in table.rows:
+        lines.append(record(cell_text(row[name]) for name in table.header))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_writer_matches_the_quoting_rule_on_random_tables():
+    rng = random.Random(4181)
+    for _ in range(2000):
+        header = tuple(rng.choice(("a", "b,", "", '"c"', "\r")) for _ in range(rng.randrange(1, 4)))
+        rows = [
+            {name: _random_json_cell(rng, rng.randrange(0, 2)) if rng.random() < 0.1
+             else _random_text(rng) for name in header}
+            for _ in range(rng.randrange(0, 5))
+        ]
+        table = _table(header, rows)
+        assert serialize_csv(table) == _csv_oracle(table)
+    table = _table(("x",), [{"x": "\r"}, {"x": ""}, {"x": "a\rb"}])
+    assert serialize_csv(table) == 'x\n"\r"\n""\n"a\rb"\n' == _csv_oracle(table)
+
+
 def test_cell_text_reads_reshaped_cells_as_json():
     assert cell_text("plain") == "plain"
     assert cell_text(["a", "b"]) == '["a", "b"]'
