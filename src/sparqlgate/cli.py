@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
 
 from .docs import render_docs
 from .errors import ConfigError
@@ -125,7 +126,8 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 def _run_server(manager: ApiManager, address: str, css: str | None) -> int:
     host, _, port_text = address.rpartition(":")
-    if not host or not port_text.isdigit():
+    # The length test keeps int() off digit strings too long for it to convert.
+    if not (host and port_text.isdecimal() and len(port_text) <= 5 and int(port_text) <= 65535):
         sys.stderr.write(f"error: bad address {address!r}, expected host:port\n")
         return 2
     try:
@@ -134,12 +136,8 @@ def _run_server(manager: ApiManager, address: str, css: str | None) -> int:
         sys.stderr.write(f"error: cannot bind {address}: {exc}\n")
         return 1
     sys.stderr.write(f"dashboard at {server.url}/\n")
-    try:
+    with server, suppress(KeyboardInterrupt):
         server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
     return 0
 
 

@@ -6,6 +6,7 @@ a recognized field name starts a new field, and every other line continues
 the current field's value (so SPARQL templates — including their own
 ``# comment`` lines — survive verbatim). Exactly one block must have
 ``#type api``; every ``#type operation`` block declares one REST operation.
+A field that belongs to the other block type is kept with a warning.
 
 Error classes raised here, by failure kind:
 
@@ -313,13 +314,20 @@ def parse_document(text: str) -> ConfigDocument:
             if block_type == "api":
                 if api is not None:
                     raise DocumentStructureError("more than one '#type api' block")
-                api = _build_api(entries, values, index)
+                api = _build_api(entries, values)
+                known = API_FIELDS
             elif block_type == "operation":
-                operations.append((index, _build_operation(entries, values, index)))
+                operations.append((index, _build_operation(entries, values)))
+                known = OPERATION_FIELDS | set(placeholder_names(values["url"]))
             else:
                 raise DocumentStructureError(f"unknown '#type' value {block_type!r}")
         except ConfigError as exc:
-            raise exc.at_block(index) from None
+            raise exc.pinned(block_index=index) from None
+        for entry in entries:
+            if entry.name not in known:
+                log.warning(
+                    "block %d: field '#%s' is not an %s field", index, entry.name, block_type
+                )
 
     if api is None:
         raise DocumentStructureError("document has no '#type api' block")
@@ -361,9 +369,7 @@ def _reject_duplicates(entries: list[FieldEntry]) -> None:
         seen.add(entry.name)
 
 
-def _build_api(
-    entries: list[FieldEntry], values: dict[str, str], index: int
-) -> ApiSpec:
+def _build_api(entries: list[FieldEntry], values: dict[str, str]) -> ApiSpec:
     url = values["url"]
     if not url.startswith("/") or url.endswith("/"):
         raise SpecValidationError(
@@ -378,9 +384,6 @@ def _build_api(
             f"endpoint {endpoint!r} is not an absolute URL", field="endpoint"
         )
     methods = _parse_methods(values.get("method"))
-    for entry in entries:
-        if entry.name not in API_FIELDS:
-            log.warning("block %d: field '#%s' is not an api field", index, entry.name)
     return ApiSpec(
         url=url,
         endpoint=endpoint,
@@ -409,9 +412,7 @@ def _parse_methods(value: str | None) -> tuple[str, ...]:
     return methods
 
 
-def _build_operation(
-    entries: list[FieldEntry], values: dict[str, str], index: int
-) -> OperationSpec:
+def _build_operation(entries: list[FieldEntry], values: dict[str, str]) -> OperationSpec:
     template = values["url"]
     if not template.startswith("/"):
         raise SpecValidationError(
@@ -461,11 +462,6 @@ def _build_operation(
                     f"postprocess argument {arg!r} is not listed in '#field_type'",
                     field="postprocess",
                 )
-
-    known = OPERATION_FIELDS | set(declared)
-    for entry in entries:
-        if entry.name not in known:
-            log.warning("block %d: field '#%s' is not an operation field", index, entry.name)
 
     return OperationSpec(
         url_template=template,

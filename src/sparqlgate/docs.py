@@ -5,6 +5,7 @@ a parsed configuration document: api metadata first, then one section per
 operation in document order. Markdown in description fields is rendered by
 a deliberately small renderer (headings, bullet lists, paragraphs, bold,
 emphasis, links, code spans) so pages never depend on external tooling.
+Every table on both pages comes from one writer, ``_table``.
 
 Call statistics live in memory only and reset with the server: per
 operation and globally, a total plus per-status-class counters and the
@@ -202,44 +203,25 @@ def render_docs(
 
 
 def _render_operation(api: ApiSpec, operation: OperationSpec) -> str:
-    verb = operation.method.upper()
-    template = html.escape(api.url + operation.url_template)
-    parts = [
-        '<section class="operation">',
-        f"<h2><code>{html.escape(verb)} {template}</code></h2>",
-    ]
+    signature = f"{operation.method.upper()} {api.url}{operation.url_template}"
+    parts = ['<section class="operation">', f"<h2>{_code(signature)}</h2>"]
     if operation.description:
         parts.append(markdown_to_html(operation.description))
 
     if operation.params:
-        rows = "".join(
-            f"<tr><td><code>{html.escape(s.param_name)}</code></td>"
-            f"<td>{html.escape(s.value_type)}</td>"
-            f"<td><code>{html.escape(s.pattern)}</code></td></tr>"
-            for s in operation.params
-        )
-        parts.append(
-            "<h3>Parameters</h3>"
-            "<table><tr><th>Name</th><th>Type</th><th>Pattern</th></tr>"
-            f"{rows}</table>"
-        )
-
+        rows = [(_code(s.param_name), html.escape(s.value_type), _code(s.pattern))
+                for s in operation.params]
+        parts.append("<h3>Parameters</h3>" + _table(("Name", "Type", "Pattern"), rows))
     if operation.field_types:
-        rows = "".join(
-            f"<tr><td><code>{html.escape(name)}</code></td>"
-            f"<td>{html.escape(value_type)}</td></tr>"
-            for name, value_type in operation.field_types.items()
-        )
-        parts.append(
-            "<h3>Result fields</h3>"
-            f"<table><tr><th>Field</th><th>Type</th></tr>{rows}</table>"
-        )
+        rows = [(_code(name), html.escape(value_type))
+                for name, value_type in operation.field_types.items()]
+        parts.append("<h3>Result fields</h3>" + _table(("Field", "Type"), rows))
 
     if operation.call_example:
         href = html.escape(api.url + operation.call_example, quote=True)
         parts.append(
             "<h3>Example call</h3>"
-            f'<p><a href="{href}"><code>{html.escape(operation.call_example)}</code></a></p>'
+            f'<p><a href="{href}">{_code(operation.call_example)}</a></p>'
         )
     if operation.output_json_example:
         parts.append(f"<h3>Example output</h3><pre>{_pretty_json(operation.output_json_example)}</pre>")
@@ -260,17 +242,10 @@ def render_dashboard(
 ) -> str:
     """The server's root page: per-API links and call counters."""
     snap = stats.snapshot()
-    overall = snap["global"]
-    body: list[str] = ["<h1>API dashboard</h1>"]
-
-    body.append(
-        "<h2>All calls</h2>"
-        "<table><tr><th>Total</th><th>2xx</th><th>4xx</th><th>5xx</th>"
-        "<th>Last call</th></tr>"
-        f"<tr><td>{overall['total']}</td><td>{overall['2xx']}</td>"
-        f"<td>{overall['4xx']}</td><td>{overall['5xx']}</td>"
-        f"<td>{_stamp(overall['last_call'])}</td></tr></table>"
-    )
+    body = [
+        "<h1>API dashboard</h1>",
+        "<h2>All calls</h2>" + _table(_COUNTER_HEAD, [_counter_cells(snap["global"])]),
+    ]
 
     for document in documents:
         api = document.api
@@ -279,24 +254,32 @@ def render_dashboard(
         body.append(f'<h2><a href="{href}">{name}</a></h2>')
         rows = []
         for operation in document.operations:
-            counter = snap["operations"].get(
-                operation_id(api, operation), _new_counter()
-            )
-            rows.append(
-                f"<tr><td><code>{html.escape(api.url + operation.url_template)}</code></td>"
-                f"<td>{html.escape(operation.method)}</td>"
-                f"<td>{counter['total']}</td><td>{counter['2xx']}</td>"
-                f"<td>{counter['4xx']}</td><td>{counter['5xx']}</td>"
-                f"<td>{_stamp(counter['last_call'])}</td></tr>"
-            )
-        body.append(
-            "<table><tr><th>Operation</th><th>Method</th><th>Total</th>"
-            "<th>2xx</th><th>4xx</th><th>5xx</th><th>Last call</th></tr>"
-            + "".join(rows)
-            + "</table>"
-        )
+            op_id = operation_id(api, operation)
+            counter = snap["operations"].get(op_id, _new_counter())
+            rows.append((_code(op_id), html.escape(operation.method), *_counter_cells(counter)))
+        body.append(_table(("Operation", "Method", *_COUNTER_HEAD), rows))
 
     return _page("API dashboard", body, css)
+
+
+_COUNTER_HEAD = ("Total", "2xx", "4xx", "5xx", "Last call")
+
+
+def _counter_cells(counter: dict) -> list[str]:
+    """One counter's cells, in ``_COUNTER_HEAD`` order."""
+    counts = [str(counter[key]) for key in ("total", "2xx", "4xx", "5xx")]
+    return counts + [_stamp(counter["last_call"])]
+
+
+def _code(text: str) -> str:
+    return f"<code>{html.escape(text)}</code>"
+
+
+def _table(head: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """One HTML table: a row of header labels, then rows of ready-made cell HTML."""
+    labels = "</th><th>".join(head)
+    cells = "".join("<tr><td>" + "</td><td>".join(row) + "</td></tr>" for row in rows)
+    return f"<table><tr><th>{labels}</th></tr>{cells}</table>"
 
 
 def _stamp(epoch: float | None) -> str:

@@ -13,15 +13,20 @@ import json
 class ConfigError(Exception):
     """Base class for configuration-document problems.
 
-    Carries the block index (the first block is 1) and the field name that
-    triggered the error, when known, so messages point at the offending spot.
+    Carries the file, the block index (the first block is 1) and the field
+    name that triggered the error, when known, so messages point at the
+    offending spot.
     """
 
-    def __init__(self, message: str, *, block_index: int | None = None, field: str | None = None):
+    def __init__(self, message: str, *, block_index: int | None = None,
+                 field: str | None = None, path: str | None = None):
         self.bare_message = message
         self.block_index = block_index
         self.field = field
+        self.path = path
         where = []
+        if path is not None:
+            where.append(f"file {path!r}")
         if block_index is not None:
             where.append(f"block {block_index}")
         if field is not None:
@@ -30,11 +35,10 @@ class ConfigError(Exception):
             message = f"{message} ({', '.join(where)})"
         super().__init__(message)
 
-    def at_block(self, block_index: int) -> "ConfigError":
-        """Copy of this error pinned to a block index (field preserved)."""
-        if self.block_index is not None:
-            return self
-        return type(self)(self.bare_message, block_index=block_index, field=self.field)
+    def pinned(self, *, block_index: int | None = None, path: str | None = None) -> "ConfigError":
+        """Copy of this error with its block and file filled in where still unknown."""
+        return type(self)(self.bare_message, block_index=self.block_index or block_index,
+                          field=self.field, path=self.path or path)
 
 
 class DocumentStructureError(ConfigError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .config import ConfigDocument, OperationSpec, load_document
 from .docs import CallStats, operation_id
-from .errors import NotFoundError, SpecValidationError, error_body
+from .errors import ConfigError, NotFoundError, SpecValidationError, error_body
 from .pipeline import (
     CallOutcome,
     ProcessRegistry,
@@ -53,19 +53,23 @@ class ApiManager:
         self.apis: list[LoadedApi] = []
         bases: dict[str, str] = {}
         for path in conf_files:
-            document = load_document(path)
-            base = document.api.url
-            if base in bases:
-                raise SpecValidationError(
-                    f"api base {base!r} declared by both {bases[base]!r} and {path!r}"
-                )
-            bases[base] = path
-            registry = register_builtins(ProcessRegistry())
-            if document.api.addon:
-                _load_addon(path, document.api.addon, registry)
-            for operation in document.operations:
-                registry.validate_chains(base, operation)
-            routes = compile_routes(document.api, document.operations)
+            # Every load error of this file is pinned to it here.
+            try:
+                document = load_document(path)
+                base = document.api.url
+                if base in bases:
+                    raise SpecValidationError(
+                        f"api base {base!r} is already declared by {bases[base]!r}"
+                    )
+                bases[base] = path
+                registry = register_builtins(ProcessRegistry())
+                if document.api.addon:
+                    _load_addon(path, document.api.addon, registry)
+                for operation in document.operations:
+                    registry.validate_chains(base, operation)
+                routes = compile_routes(document.api, document.operations)
+            except ConfigError as exc:
+                raise exc.pinned(path=path) from None
             self.apis.append(LoadedApi(document, routes, registry, path))
 
     @property

@@ -29,7 +29,7 @@ from .errors import (
     UnknownFunctionError,
     error_body,
 )
-from .refine import apply_plan, parse_refinements
+from .refine import JSON_MEDIA_TYPE, apply_plan, parse_refinements
 from .router import (
     CallRequest,
     CompiledRoute,
@@ -205,9 +205,9 @@ def execute(
         content_type, text = apply_plan(table, plan, request.accept_header)
         return CallOutcome(200, text, content_type), operation
     except CallError as exc:
-        return CallOutcome(exc.status, error_body(exc), "application/json"), operation
+        return CallOutcome(exc.status, error_body(exc), JSON_MEDIA_TYPE), operation
     except Exception as exc:  # never leak a traceback to the caller
         log.exception("pipeline failure for %s", request.full_path)
         wrapped = CallError(f"internal error: {exc}")
-        return CallOutcome(500, error_body(wrapped), "application/json"), operation
+        return CallOutcome(500, error_body(wrapped), JSON_MEDIA_TYPE), operation
 

@@ -9,7 +9,8 @@ dashboard never changes what it shows.
 ``BaseHandler`` is the HTTP side of the gateway and the testkit mock alike:
 one request-body framing path (413 above ``MAX_BODY_BYTES``), one socket
 timeout (``HANDLER_TIMEOUT_S``), one response writer and one access log.
-Subclasses implement only ``_handle``.
+Subclasses implement only ``_handle``; HEAD is a GET without the body.
+``BackgroundServer`` is the one lifecycle: ``with`` closes any server.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ class BaseHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:
         self._read_body_then_handle("get")
 
+    do_HEAD = do_GET  # _send leaves the body out
+
     def do_POST(self) -> None:
         self._read_body_then_handle("post")
 
@@ -62,7 +65,8 @@ class BaseHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
-        self.wfile.write(payload)
+        if self.command != "HEAD":
+            self.wfile.write(payload)
 
     def log_message(self, format: str, *args) -> None:
         log.debug("%s - %s", self.address_string(), format % args)
@@ -107,14 +111,12 @@ class BackgroundServer(ThreadingHTTPServer):
         return self
 
     def stop(self) -> None:
-        self.shutdown()
-        self.server_close()
+        # shutdown() waits for serve_forever, so only a started server may call it.
         if self._thread is not None:
+            self.shutdown()
             self._thread.join(timeout=5)
             self._thread = None
-
-    def __enter__(self):
-        return self
+        self.server_close()
 
     def __exit__(self, *exc_info) -> None:
         self.stop()

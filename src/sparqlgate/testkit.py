@@ -19,9 +19,8 @@ import urllib.parse
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .client import RESULTS_JSON as RESULTS_MEDIA_TYPE
 from .server import BackgroundServer, BaseHandler
-
-RESULTS_MEDIA_TYPE = "application/sparql-results+json"
 
 
 @dataclass(frozen=True)

@@ -157,7 +157,10 @@ def test_missing_stylesheet_is_a_usage_error(conf_path, tmp_path, capsys):
 def test_malformed_listen_address(conf_path, capsys):
     assert cli_main(["-s", conf_path, "-w", "8080"]) == 2
     assert cli_main(["-s", conf_path, "-w", "127.0.0.1:war"]) == 2
-    assert "bad address" in capsys.readouterr().err
+    assert cli_main(["-s", conf_path, "-w", "127.0.0.1:70000"]) == 2
+    assert cli_main(["-s", conf_path, "-w", "127.0.0.1:\u00b2"]) == 2  # a digit, not a decimal
+    assert cli_main(["-s", conf_path, "-w", "127.0.0.1:" + "9" * 5000]) == 2
+    assert capsys.readouterr().err.count("bad address") == 5
 
 
 def test_occupied_port_reports_bind_failure(conf_path, capsys):

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from sparqlgate.errors import NotFoundError, SpecValidationError, UnknownFunctionError
+from sparqlgate.errors import (
+    ConfigError,
+    NotFoundError,
+    SpecValidationError,
+    UnknownFunctionError,
+)
 from sparqlgate.manager import ApiManager
 from sparqlgate.testkit import fixture_citations, fixture_file
 
@@ -43,16 +48,70 @@ def test_missing_file_fails_fast(tmp_path):
 def test_duplicate_api_base_is_rejected(mock_endpoint, tmp_path):
     one = fixture_file(tmp_path, mock_endpoint.url, "one.hf")
     two = fixture_file(tmp_path, mock_endpoint.url, "two.hf")
-    with pytest.raises(SpecValidationError):
+    with pytest.raises(SpecValidationError) as caught:
         ApiManager([one, two])
+    assert str(caught.value) == (
+        f"api base '/api/v1' is already declared by {one!r} (file {two!r})"
+    )
 
 
 def test_unregistered_chain_function_fails_at_load(mock_endpoint, tmp_path):
     config, _ = fixture_citations(mock_endpoint.url)
     path = tmp_path / "broken.hf"
-    path.write_text(config.replace("lower(doi)", "mangle(doi)", 1), encoding="utf-8")
-    with pytest.raises(UnknownFunctionError):
-        ApiManager([str(path)])
+    unregistered = {
+        "preprocess": config.replace("lower(doi)", "mangle(doi)", 1),
+        "postprocess": config.replace(
+            "#description All works", "#postprocess tidy()\n#description All works", 1
+        ),
+    }
+    for field, text in unregistered.items():
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(UnknownFunctionError) as caught:
+            ApiManager([str(path)])
+        assert caught.value.field == field
+
+
+def _second_file(tmp_path, endpoint_url: str, edit) -> str:
+    path = tmp_path / "b.hf"
+    path.write_text(edit(SECOND_API.replace("__ENDPOINT__", endpoint_url)), encoding="utf-8")
+    return str(path)
+
+
+def test_load_errors_name_their_file(conf_path, mock_endpoint, tmp_path):
+    # Found while loading the second file: the error says which file.
+    chain = _second_file(
+        tmp_path, mock_endpoint.url,
+        lambda text: text.replace("#method get", "#method get\n#preprocess lowr(doi)"),
+    )
+    with pytest.raises(UnknownFunctionError) as caught:
+        ApiManager([conf_path, chain])
+    assert (caught.value.path, caught.value.block_index, str(caught.value)) == (
+        chain, None,
+        "preprocess function 'lowr' of operation '/alt/citations/{doi}' "
+        f"is not registered (file {chain!r}, field #preprocess)",
+    )
+
+    # A parse error keeps its block, and gains the file.
+    shape = _second_file(
+        tmp_path, mock_endpoint.url, lambda text: text.replace("str(10", "bool(10")
+    )
+    with pytest.raises(ConfigError) as caught:
+        ApiManager([conf_path, shape])
+    assert (caught.value.path, caught.value.block_index, caught.value.field) == (shape, 2, "doi")
+    assert str(caught.value).endswith(f"(file {shape!r}, block 2, field #doi)")
+
+
+def test_route_compile_errors_name_their_file(mock_endpoint, tmp_path):
+    # Routes compile after parsing, so only the file and field locate the error.
+    path = _second_file(
+        tmp_path, mock_endpoint.url,
+        lambda text: text.replace("/citations/{doi}", "/citations/{doi}/{doi}"),
+    )
+    with pytest.raises(SpecValidationError) as caught:
+        ApiManager([path])
+    exc = caught.value
+    assert (exc.path, exc.block_index, exc.field) == (path, None, "url")
+    assert str(exc).startswith("url template '/citations/{doi}/{doi}' does not compile")
 
 
 # ---------------------------------------------------------------------------

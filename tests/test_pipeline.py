@@ -128,6 +128,30 @@ def test_postprocess_wraps_raises_and_bad_returns():
         run_postprocess(registry, (ProcessStep("not_a_table", ()),), table)
 
 
+def test_unexpected_failure_is_a_500_outcome_with_the_uniform_body(mock_endpoint, caplog):
+    # A postprocess step that leaves a set cell passes the chain's own checks
+    # and fails only in the JSON writer: the pipeline's catch-all answers.
+    config, _ = fixture_citations(mock_endpoint.url)
+    config = config.replace(
+        "#description All works", "#postprocess setify()\n#description All works", 1
+    )
+    doc = parse_document(config)
+    registry = register_builtins(ProcessRegistry())
+    registry.register_table(
+        "setify",
+        lambda table: table.replaced([{**r, "citing": {r["citing"]}} for r in table.rows]),
+    )
+    wired = (doc, compile_routes(doc.api, doc.operations), registry)
+    with caplog.at_level("ERROR"):
+        outcome = _call(wired, "/api/v1/citations/10.1108/jd-12-2013-0166")
+    assert (outcome.status, outcome.content_type) == (500, "application/json")
+    assert json.loads(outcome.body) == {
+        "error": "internal error: Object of type set is not JSON serializable",
+        "status": 500,
+    }
+    assert any("pipeline failure" in r.message for r in caplog.records)
+
+
 def test_validate_chains_requires_registered_names():
     registry = register_builtins(ProcessRegistry())
     config, _ = fixture_citations()

@@ -137,6 +137,14 @@ def test_require_on_unknown_field_is_a_warned_noop(caplog):
     assert any("ghost" in r.message for r in caplog.records)
 
 
+def test_filter_and_sort_on_unknown_fields_are_warned_noops(caplog):
+    with caplog.at_level("WARNING"):
+        assert apply_filter(INFO, FilterSpec("ghost", None, "x")).rows == INFO.rows
+        assert apply_filter(INFO, FilterSpec("ghost", ">", "1")).rows == INFO.rows
+        assert apply_sort(INFO, SortSpec("desc", "ghost")).rows == INFO.rows
+    assert len([r for r in caplog.records if "ghost" in r.message]) == 3
+
+
 def test_regex_filter_searches_anywhere_in_the_cell():
     out = apply_filter(INFO, FilterSpec("creation", None, "^20.+"))
     assert len(out.rows) == 3

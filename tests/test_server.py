@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 import socket
+import threading
 import time
 
 import pytest
@@ -10,7 +11,7 @@ import requests
 
 from checks import assert_valid_html
 from sparqlgate.server import MAX_BODY_BYTES, BaseHandler, GatewayServer, serve
-from sparqlgate.testkit import MockRule, results_json, start_mock
+from sparqlgate.testkit import MockRule, MockSparqlEndpoint, results_json, start_mock
 
 
 @pytest.fixture()
@@ -259,6 +260,28 @@ def test_quiet_connection_is_closed_after_the_handler_timeout(target, raw, monke
         assert time.monotonic() - started < 1.0
 
 
+@on_both_targets([], [()], ["HEAD"])
+def test_head_answers_like_get_without_a_body(target):
+    # HEAD, then GET of the same target, on one keep-alive connection.
+    path = b"/api/v1/citations/10.1108/x"
+    raw = b"".join(
+        verb + b" " + path + b" HTTP/1.1\r\nHost: gateway\r\n\r\n" for verb in (b"HEAD", b"GET")
+    )
+    with socket.create_connection(target.server_address[:2], timeout=5) as sock:
+        sock.sendall(raw)
+        sock.shutdown(socket.SHUT_WR)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    head_response, _, rest = received.partition(b"\r\n\r\n")
+    assert head_response.split()[1] == b"200"
+    get_response, _, body = rest.partition(b"\r\n\r\n")
+    assert get_response.split()[1] == b"200"
+    length = rb"Content-Length: (\d+)"
+    head_length = int(re.search(length, head_response).group(1))
+    assert head_length == int(re.search(length, get_response).group(1)) == len(body) > 0
+
+
 # ---------------------------------------------------------------------------
 # Lifecycle
 # ---------------------------------------------------------------------------
@@ -270,6 +293,23 @@ def test_context_manager_binds_and_stops(gateway):
         url = server.url
     with pytest.raises(requests.RequestException):
         requests.get(url + "/", timeout=0.5)
+
+
+@pytest.mark.parametrize("kind", ["gateway", "mock"])
+def test_a_never_started_server_closes_on_leaving_with(kind, gateway):
+    servers = []
+
+    def enter_and_leave():
+        server = GatewayServer(gateway, port=0) if kind == "gateway" else MockSparqlEndpoint([])
+        with server:
+            servers.append(server)
+
+    # In a thread, so a stop() that waits for serve_forever fails instead of hanging.
+    worker = threading.Thread(target=enter_and_leave, daemon=True)
+    worker.start()
+    worker.join(timeout=2)
+    assert not worker.is_alive()
+    assert servers[0].socket.fileno() == -1  # the listening socket is closed
 
 
 def test_two_servers_may_share_one_manager(gateway):
