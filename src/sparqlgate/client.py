@@ -7,9 +7,16 @@ The parsed form is a ResultTable — ordered header, per-variable value
 types, and ordered rows of cells — which is the single intermediate
 representation the rest of the pipeline works on.
 
-This module owns all upstream I/O: every call on every surface goes
-through its one pooled ``requests`` session and its ``TIMEOUT``, so no
-caller passes either.
+This module owns all upstream I/O, on ``http.client`` alone: every call on
+every surface goes through its one connection pool and its ``TIMEOUT``, so
+no caller passes either. The pool keeps idle keep-alive connections per
+origin, shared by all threads: a call takes one, or opens one, and gives it
+back only after reading the whole response. Sharing matters because the
+HTTP server runs one thread per client connection; connections kept per
+thread would be left open when those threads end. A pooled connection that
+the endpoint closed while it sat idle fails before any response byte; the
+call is then sent once more on a fresh connection. Redirects are not
+followed, and bodies larger than ``MAX_RESPONSE_BYTES`` are refused.
 
 Substitution into query templates is a raw text splice over the slots that
 ``config.SLOT_RE`` finds at load time: the parameter's shape pattern is the
@@ -19,18 +26,27 @@ responsibility worth stating loudly.
 
 from __future__ import annotations
 
+import http.client
 import json
+import urllib.parse
 from dataclasses import dataclass, field
 from typing import Mapping
-
-import requests
 
 from .config import SLOT_RE
 from .errors import EndpointStatusError, EndpointUnreachableError, ResultParseError
 
 RESULTS_JSON = "application/sparql-results+json"
 TIMEOUT = 30.0  # seconds per upstream query, to connect and to answer alike
-_session = requests.Session()
+# 4.5 times the largest body the benchmark serves (7.1 MB, a 20k-row table).
+# Parsing and writing that table peaked at 52 MB under tracemalloc, about 7
+# times the body, so one call at the cap stays near 250 MB.
+MAX_RESPONSE_BYTES = 32 << 20
+
+# Idle keep-alive connections per origin (scheme, host, port). dict.setdefault,
+# list.pop and list.append are each atomic, so threads share them without a lock.
+_idle: dict[tuple[str, str, int | None], list[http.client.HTTPConnection]] = {}
+# What a pooled connection that the endpoint has closed fails with.
+_STALE = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError)
 
 # A cell is plain text straight off the wire; list and record cells only
 # appear later, produced by the json refinement or a table transform.
@@ -64,27 +80,74 @@ def substitute(template: str, bindings: Mapping[str, str]) -> str:
 
 def dispatch(endpoint: str, query: str, method: str = "get") -> tuple[int, str, str]:
     """Send one query to the endpoint; returns (status, media type, body)."""
+    form = urllib.parse.urlencode({"query": query})
     headers = {"Accept": RESULTS_JSON}
     try:
+        url = urllib.parse.urlsplit(endpoint)
+        if url.scheme not in ("http", "https"):
+            raise ValueError(f"unsupported scheme {url.scheme!r}")
+        origin = (url.scheme, url.hostname, url.port)  # a None port means the default
+        target = url.path or "/"
         if method == "post":
-            response = _session.post(
-                endpoint, data={"query": query}, headers=headers, timeout=TIMEOUT
-            )
+            target += f"?{url.query}" if url.query else ""
+            headers["Content-Type"] = "application/x-www-form-urlencoded"
+            status, media, payload = _exchange(origin, "POST", target, form.encode(), headers)
         else:
-            response = _session.get(
-                endpoint, params={"query": query}, headers=headers, timeout=TIMEOUT
-            )
-    except requests.RequestException as exc:
+            target += f"?{url.query}&{form}" if url.query else f"?{form}"
+            status, media, payload = _exchange(origin, "GET", target, None, headers)
+    except (OSError, ValueError, http.client.HTTPException) as exc:
         raise EndpointUnreachableError(f"SPARQL endpoint unreachable: {exc}") from None
-    if not 200 <= response.status_code < 300:
-        raise EndpointStatusError(
-            response.status_code, response.content[:200].decode("utf-8", "replace")
-        )
+    if not 200 <= status < 300:
+        raise EndpointStatusError(status, payload[:200].decode("utf-8", "replace"))
     try:
-        body = response.content.decode("utf-8")
+        body = payload.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ResultParseError(f"SPARQL results body is not UTF-8: {exc}") from None
-    return response.status_code, response.headers.get("Content-Type", ""), body
+    return status, media, body
+
+
+def _exchange(origin, method, target, body, headers) -> tuple[int, str, bytes]:
+    """One request and its whole response, on a pooled or a fresh connection."""
+    idle = _idle.setdefault(origin, [])
+    try:
+        connection = idle.pop()
+    except IndexError:
+        response = None
+    else:
+        try:
+            response = _send(connection, method, target, body, headers)
+        except _STALE:
+            response = None
+    if response is None:
+        scheme, host, port = origin
+        opener = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+        connection = opener(host, port, timeout=TIMEOUT)
+        response = _send(connection, method, target, body, headers)
+    try:
+        size = response.length
+        if size is None or size <= MAX_RESPONSE_BYTES:
+            # Without a Content-Length (chunked or close-delimited), stop one byte past the cap.
+            payload = response.read(MAX_RESPONSE_BYTES + 1 if size is None else None)
+            size = len(payload)
+        if size > MAX_RESPONSE_BYTES:
+            raise ResultParseError(f"SPARQL results body exceeds {MAX_RESPONSE_BYTES} bytes")
+    except BaseException:
+        connection.close()
+        raise
+    if response.will_close or not response.isclosed():
+        connection.close()
+    else:
+        idle.append(connection)
+    return response.status, response.getheader("Content-Type", ""), payload
+
+
+def _send(connection, method, target, body, headers) -> http.client.HTTPResponse:
+    try:
+        connection.request(method, target, body, headers)
+        return connection.getresponse()
+    except BaseException:
+        connection.close()
+        raise
 
 
 def parse_results(

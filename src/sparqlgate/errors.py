@@ -122,7 +122,8 @@ class EndpointStatusError(CallError):
 
 
 class ResultParseError(CallError):
-    """The endpoint response is not a well-formed SPARQL results document."""
+    """The endpoint response is not a well-formed SPARQL results document,
+    or is larger than the client accepts."""
 
     status = 500
 

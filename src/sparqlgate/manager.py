@@ -172,7 +172,12 @@ def _load_addon(conf_path: str, addon: str, registry: ProcessRegistry) -> None:
         f"_gateway_addon_{os.path.splitext(filename)[0]}", candidate
     )
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    try:
+        spec.loader.exec_module(module)
+    except Exception as exc:
+        raise SpecValidationError(
+            f"addon {filename!r} does not import: {type(exc).__name__}: {exc}", field="addon"
+        ) from None
     register = getattr(module, "register", None)
     if not callable(register):
         raise SpecValidationError(

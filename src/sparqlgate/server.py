@@ -9,6 +9,9 @@ dashboard never changes what it shows.
 ``BaseHandler`` is the HTTP side of the gateway and the testkit mock alike:
 one request-body framing path (413 above ``MAX_BODY_BYTES``), one socket
 timeout (``HANDLER_TIMEOUT_S``), one response writer and one access log.
+Its sockets send with Nagle's algorithm off: a response goes out as a header
+write and a body write, and with Nagle on the body waited for the client's
+delayed ACK, about 40 ms per call on a keep-alive connection.
 Subclasses implement only ``_handle``; HEAD is a GET without the body.
 ``BackgroundServer`` is the one lifecycle: ``with`` closes any server.
 """
@@ -34,6 +37,7 @@ class BaseHandler(BaseHTTPRequestHandler):
     """HTTP/1.1 body framing and response writing; subclasses add ``_handle``."""
 
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # TCP_NODELAY: see the module docstring
     # handle_one_request catches the TimeoutError and closes the connection.
     timeout = HANDLER_TIMEOUT_S
 

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import socket
+import subprocess
+import sys
 
 import pytest
 
+import sparqlgate
 from checks import assert_valid_html
 from sparqlgate.cli import build_parser, cli_main
 
@@ -57,6 +61,34 @@ def test_invalid_config_is_reported(tmp_path, capsys):
     bad.write_text("#url /api\n#type api\n", encoding="utf-8")
     assert cli_main(["-s", str(bad), "-c", "/x"]) == 2
     assert "endpoint" in capsys.readouterr().err
+
+
+def test_addon_that_does_not_import_is_reported(conf_path, tmp_path, capsys):
+    addon = tmp_path / "extras.py"
+    addon.write_text("def register(registry:\n", encoding="utf-8")
+    with open(conf_path, encoding="utf-8") as handle:
+        config = handle.read().replace("#endpoint", "#addon extras\n#endpoint", 1)
+    with open(conf_path, "w", encoding="utf-8") as handle:
+        handle.write(config)
+    assert cli_main(["-s", conf_path, "-c", "/api/v1/citations/10.1108/x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: addon 'extras.py' does not import: SyntaxError: ")
+    assert err.endswith(f"(file {conf_path!r}, field #addon)\n")
+    assert err.count("\n") == 1
+
+
+def test_cli_and_server_import_no_third_party_http_client():
+    code = (
+        "import sys, sparqlgate.cli, sparqlgate.server; "
+        "print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    )
+    src = os.path.dirname(os.path.dirname(sparqlgate.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------
