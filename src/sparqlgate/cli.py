@@ -143,7 +143,9 @@ def _run_server(manager: ApiManager, address: str, css: str | None) -> int:
 
 def _write_output(path: str | None, text: str) -> int:
     if path is None:
-        sys.stdout.write(text)
+        # UTF-8 bytes, as the HTTP surface sends them, whatever the locale.
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
         return 0
     try:
         with open(path, "w", encoding="utf-8") as handle:

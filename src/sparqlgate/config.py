@@ -145,6 +145,9 @@ class OperationSpec:
     call_example: str = ""
     output_json_example: str = ""
     fields: tuple[FieldEntry, ...] = ()
+    # Where the block sits in its document (the first block is 1), for load
+    # errors found after parsing; not part of the spec's value.
+    block: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -301,7 +304,7 @@ def slot_names(sparql: str) -> set[str]:
 def parse_document(text: str) -> ConfigDocument:
     """Parse one configuration document into its api and operation specs."""
     api: ApiSpec | None = None
-    operations: list[tuple[int, OperationSpec]] = []
+    operations: list[OperationSpec] = []
 
     for index, entries in enumerate(split_blocks(text), start=1):
         # Every error raised while building a block is pinned to it here.
@@ -317,7 +320,7 @@ def parse_document(text: str) -> ConfigDocument:
                 api = _build_api(entries, values)
                 known = API_FIELDS
             elif block_type == "operation":
-                operations.append((index, _build_operation(entries, values)))
+                operations.append(_build_operation(entries, values, index))
                 known = OPERATION_FIELDS | set(placeholder_names(values["url"]))
             else:
                 raise DocumentStructureError(f"unknown '#type' value {block_type!r}")
@@ -332,15 +335,15 @@ def parse_document(text: str) -> ConfigDocument:
     if api is None:
         raise DocumentStructureError("document has no '#type api' block")
     # The api block may come after its operations, so methods are checked last.
-    for index, op in operations:
+    for op in operations:
         if op.method not in api.methods:
             raise SpecValidationError(
                 f"operation {op.url_template!r} uses method {op.method!r}, "
                 f"not among the api methods {'/'.join(api.methods)}",
-                block_index=index,
+                block_index=op.block,
                 field="method",
             )
-    return ConfigDocument(api=api, operations=tuple(op for _, op in operations))
+    return ConfigDocument(api=api, operations=tuple(operations))
 
 
 def load_document(path: str) -> ConfigDocument:
@@ -412,7 +415,9 @@ def _parse_methods(value: str | None) -> tuple[str, ...]:
     return methods
 
 
-def _build_operation(entries: list[FieldEntry], values: dict[str, str]) -> OperationSpec:
+def _build_operation(
+    entries: list[FieldEntry], values: dict[str, str], block: int
+) -> OperationSpec:
     template = values["url"]
     if not template.startswith("/"):
         raise SpecValidationError(
@@ -475,6 +480,7 @@ def _build_operation(entries: list[FieldEntry], values: dict[str, str]) -> Opera
         call_example=values.get("call", ""),
         output_json_example=values.get("output_json", ""),
         fields=tuple(entries),
+        block=block,
     )
 
 

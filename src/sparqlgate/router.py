@@ -71,10 +71,13 @@ def compile_routes(
     api: ApiSpec, operations: tuple[OperationSpec, ...]
 ) -> tuple[CompiledRoute, ...]:
     """Compile every operation of one document, preserving document order."""
-    return tuple(
-        CompiledRoute(op, compile_matcher(api.url, op.url_template, op.params))
-        for op in operations
-    )
+    routes = []
+    for op in operations:
+        try:
+            routes.append(CompiledRoute(op, compile_matcher(api.url, op.url_template, op.params)))
+        except SpecValidationError as exc:
+            raise exc.pinned(block_index=op.block) from None
+    return tuple(routes)
 
 
 def match_path(

@@ -9,20 +9,26 @@ dashboard never changes what it shows.
 ``BaseHandler`` is the HTTP side of the gateway and the testkit mock alike:
 one request-body framing path (413 above ``MAX_BODY_BYTES``), one socket
 timeout (``HANDLER_TIMEOUT_S``), one response writer and one access log.
+Refusals, ours and those ``http.server`` makes itself (501, 414, 431, ...),
+go through the same writer with the uniform JSON error body.
 Its sockets send with Nagle's algorithm off: a response goes out as a header
 write and a body write, and with Nagle on the body waited for the client's
 delayed ACK, about 40 ms per call on a keep-alive connection.
 Subclasses implement only ``_handle``; HEAD is a GET without the body.
-``BackgroundServer`` is the one lifecycle: ``with`` closes any server.
+``BackgroundServer`` is the one lifecycle: ``with`` closes any server, and
+stopping it also cuts the keep-alive connections it still serves.
 """
 
 from __future__ import annotations
 
 import logging
+import socket
 import threading
+from contextlib import suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .docs import render_dashboard, render_docs
+from .errors import CallError, error_body
 from .manager import ApiManager
 
 log = logging.getLogger(__name__)
@@ -51,8 +57,8 @@ class BaseHandler(BaseHTTPRequestHandler):
 
     def _read_body_then_handle(self, method: str) -> None:
         # Any body is read off the connection, so the next request on it frames
-        # right. A body that cannot be framed, or is too large to read, gets
-        # send_error unread, which closes the connection.
+        # right. A body that cannot be framed, or is too large to read, is
+        # refused unread, which closes the connection.
         lengths = self.headers.get_all("Content-Length", ["0"])
         if "Transfer-Encoding" in self.headers:
             self.send_error(411, "Transfer-Encoding is not supported")
@@ -63,11 +69,19 @@ class BaseHandler(BaseHTTPRequestHandler):
         else:
             self._handle(method, self.rfile.read(int(lengths[0])))
 
-    def _send(self, status: int, body: str, content_type: str) -> None:
+    def send_error(self, code: int, message: str | None = None, explain=None) -> None:
+        # Replaces http.server's HTML error page; explain is not sent.
+        refusal = CallError(message or self.responses[code][0])
+        refusal.status = code
+        self._send(code, error_body(refusal), "application/json; charset=utf-8", close=True)
+
+    def _send(self, status: int, body: str, content_type: str, close: bool = False) -> None:
         payload = body.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
+        if close:
+            self.send_header("Connection", "close")  # also ends the handler's loop
         self.end_headers()
         if self.command != "HEAD":
             self.wfile.write(payload)
@@ -105,6 +119,24 @@ class BackgroundServer(ThreadingHTTPServer):
     daemon_threads = True
     _thread: threading.Thread | None = None
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._connections: set[socket.socket] = set()  # accepted, not yet closed
+
+    def process_request(self, request, client_address):
+        self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address):
+        # Once stop() closed the listening socket, a handler whose connection
+        # it cut may fail to read (a reset, say); that is not worth a traceback.
+        if self.socket.fileno() != -1:
+            super().handle_error(request, client_address)
+
     def start(self):
         """Serve in a background thread (tests and embedding); returns self."""
         # Tight poll so stop() returns promptly.
@@ -121,6 +153,11 @@ class BackgroundServer(ThreadingHTTPServer):
             self._thread.join(timeout=5)
             self._thread = None
         self.server_close()
+        # A handler thread may still wait on a keep-alive connection; cutting
+        # the connection ends that thread, which then closes the socket.
+        for connection in self._connections.copy():
+            with suppress(OSError):
+                connection.shutdown(socket.SHUT_RDWR)
 
     def __exit__(self, *exc_info) -> None:
         self.stop()

@@ -4,15 +4,18 @@ Everything here recomputes expected behavior through a different code
 path than the implementation: typed sort keys via string padding and
 fromisoformat, durations via a hand-rolled scanner, HTML well-formedness
 via html.parser. Acceptance tests report through the ACCEPTANCE registry
-so the terminal summary shows one line per criterion.
+so the terminal summary shows one line per criterion. ``fetch`` is the
+one HTTP client of the test suites, built on the standard library.
 """
 
 from __future__ import annotations
 
 import contextlib
 import datetime
+import http.client
 import re
 from html.parser import HTMLParser
+from typing import NamedTuple
 
 # ---------------------------------------------------------------------------
 # Acceptance reporting
@@ -30,6 +33,37 @@ def criterion(number: int, label: str):
         ACCEPTANCE.append(f"criterion {number} ({label}): FAIL")
         raise
     ACCEPTANCE.append(f"criterion {number} ({label}): PASS")
+
+
+# ---------------------------------------------------------------------------
+# HTTP client
+# ---------------------------------------------------------------------------
+
+
+class Reply(NamedTuple):
+    status: int
+    headers: http.client.HTTPMessage
+    body: str
+
+
+def fetch(
+    url: str, method: str = "GET", headers: dict[str, str] | None = None, timeout: float = 10.0
+) -> Reply:
+    """One request to an ``http://host:port/...`` URL on its own connection.
+
+    The target is sent exactly as written, percent-escapes included. The
+    body is decoded as strict UTF-8, so a mis-encoded response fails instead
+    of being guessed at. The connection is always closed; one that cannot
+    be made, is cut, or stays silent for ``timeout`` seconds raises ``OSError``.
+    """
+    origin, _, target = url.removeprefix("http://").partition("/")
+    connection = http.client.HTTPConnection(origin, timeout=timeout)
+    try:
+        connection.request(method, "/" + target, headers=headers or {})
+        response = connection.getresponse()
+        return Reply(response.status, response.headers, response.read().decode("utf-8"))
+    finally:
+        connection.close()
 
 
 # ---------------------------------------------------------------------------

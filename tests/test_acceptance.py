@@ -17,9 +17,8 @@ import time
 import urllib.parse
 
 import pytest
-import requests
 
-from checks import assert_valid_html, criterion, oracle_key, oracle_sorted
+from checks import assert_valid_html, criterion, fetch, oracle_key, oracle_sorted
 from sparqlgate.cli import cli_main
 from sparqlgate.client import ResultTable, dispatch, parse_results, substitute
 from sparqlgate.config import parse_document, serialize_document
@@ -284,15 +283,15 @@ def test_format_refinement_beats_accept_header(gateway):
         with serve(gateway, port=0) as server:
             base = f"{server.url}/api/v1/citations/{FIXTURE_DOI}"
 
-            got = requests.get(base + "?format=json", headers={"Accept": "text/csv"}, timeout=10)
-            assert got.status_code == 200
+            got = fetch(base + "?format=json", headers={"Accept": "text/csv"}, timeout=10)
+            assert got.status == 200
             assert got.headers["Content-Type"].startswith("application/json")
-            assert json.loads(got.text) == RECORDS_PLAIN
+            assert json.loads(got.body) == RECORDS_PLAIN
 
-            got = requests.get(base + "?format=csv", headers={"Accept": "application/json"}, timeout=10)
-            assert got.status_code == 200
+            got = fetch(base + "?format=csv", headers={"Accept": "application/json"}, timeout=10)
+            assert got.status == 200
             assert got.headers["Content-Type"].startswith("text/csv")
-            assert got.text == GOLDEN_CSV
+            assert got.body == GOLDEN_CSV
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +414,13 @@ def test_three_call_surfaces_agree(conf_path, gateway, capsys):
                     body = captured.err[:-1]
                     cli = (json.loads(body)["status"], body)
 
-                response = requests.request(
-                    method.upper(),
+                response = fetch(
                     server.url + url,
+                    method.upper(),
                     headers={"Accept": "application/json"},
                     timeout=10,
                 )
-                http = (response.status_code, response.text)
+                http = (response.status, response.body)
 
                 assert embedded == cli == http, url
 
@@ -484,19 +483,19 @@ def test_documentation_and_dashboard(gateway):
             assert page.count(operation.url_template) == 1
 
         with serve(gateway, port=0) as server:
-            assert requests.get(
+            assert fetch(
                 f"{server.url}/api/v1/citations/{FIXTURE_DOI}", timeout=10
-            ).status_code == 200
-            assert requests.get(
+            ).status == 200
+            assert fetch(
                 f"{server.url}/api/v1/citation-info/{FIXTURE_DOI}", timeout=10
-            ).status_code == 200
-            assert requests.post(
-                f"{server.url}/api/v1/stats/10.3233", timeout=10
-            ).status_code == 200
-            assert requests.get(
+            ).status == 200
+            assert fetch(
+                f"{server.url}/api/v1/stats/10.3233", "POST", timeout=10
+            ).status == 200
+            assert fetch(
                 f"{server.url}/api/v1/nowhere", timeout=10
-            ).status_code == 404
-            dashboard = requests.get(server.url + "/", timeout=10).text
+            ).status == 404
+            dashboard = fetch(server.url + "/", timeout=10).body
 
         assert_valid_html(dashboard)
         assert "<td>4</td><td>3</td><td>1</td><td>0</td>" in dashboard

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -9,8 +10,11 @@ import sys
 import pytest
 
 import sparqlgate
-from checks import assert_valid_html
+from checks import assert_valid_html, fetch
 from sparqlgate.cli import build_parser, cli_main
+from sparqlgate.manager import ApiManager
+from sparqlgate.server import serve
+from sparqlgate.testkit import MockRule, results_json, start_mock
 
 GOLDEN_CSV = (
     "citing,cited\n"
@@ -152,6 +156,36 @@ def test_unwritable_output_file_fails(conf_path, tmp_path, capsys):
     )
     assert code == 1
     assert "cannot write" in capsys.readouterr().err
+
+
+UNICODE_CONF = """#url /u
+#type api
+#title Zürich – 東京
+#endpoint __ENDPOINT__
+
+#url /names
+#type operation
+#method get
+#sparql SELECT ?name WHERE { ?place ?label ?name }
+"""
+
+
+def test_output_is_utf_8_whatever_the_locale(tmp_path):
+    # Under a latin-1 stdout, -c and -d still print the bytes the HTTP surface sends.
+    rule = MockRule(re.compile(""), results_json(("name",), [{"name": "Zürich – 東京"}]))
+    with start_mock([rule]) as endpoint:
+        conf = tmp_path / "u.hf"
+        conf.write_text(UNICODE_CONF.replace("__ENDPOINT__", endpoint.url), encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(sparqlgate.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "latin-1"}
+        with serve(ApiManager([str(conf)]), port=0) as gateway:
+            for action, path in ((["-c", "/u/names"], "/u/names"), (["-d"], "/u")):
+                done = subprocess.run(
+                    [sys.executable, "-m", "sparqlgate", "-s", str(conf), *action],
+                    env=env, capture_output=True, timeout=30,
+                )
+                assert done.returncode == 0, done.stderr
+                assert done.stdout == fetch(gateway.url + path).body.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

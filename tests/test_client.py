@@ -336,6 +336,17 @@ def test_an_unreachable_endpoint_stays_unreachable_after_a_stale_connection(
     assert sum(map(len, pool.values())) == 0
 
 
+def test_a_stopped_endpoint_does_not_answer_its_pooled_connection(pool, monkeypatch):
+    # stop() cuts the connection the pool keeps, so the retry finds no server.
+    monkeypatch.setattr(client, "TIMEOUT", 0.5)
+    with start_mock(OK_RULES) as endpoint:
+        dispatch(endpoint.url, "SELECT ?s")
+    assert sum(map(len, pool.values())) == 1
+    with pytest.raises(EndpointUnreachableError):
+        dispatch(endpoint.url, "SELECT ?s")
+    assert len(endpoint.received) == 1
+
+
 # ---------------------------------------------------------------------------
 # Responses the client refuses
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def test_load_errors_name_their_file(conf_path, mock_endpoint, tmp_path):
 
 
 def test_route_compile_errors_name_their_file(mock_endpoint, tmp_path):
-    # Routes compile after parsing, so only the file and field locate the error.
+    # Routes compile after parsing; the operation still knows its block.
     path = _second_file(
         tmp_path, mock_endpoint.url,
         lambda text: text.replace("/citations/{doi}", "/citations/{doi}/{doi}"),
@@ -110,8 +110,9 @@ def test_route_compile_errors_name_their_file(mock_endpoint, tmp_path):
     with pytest.raises(SpecValidationError) as caught:
         ApiManager([path])
     exc = caught.value
-    assert (exc.path, exc.block_index, exc.field) == (path, None, "url")
+    assert (exc.path, exc.block_index, exc.field) == (path, 2, "url")
     assert str(exc).startswith("url template '/citations/{doi}/{doi}' does not compile")
+    assert str(exc).endswith(f"(file {path!r}, block 2, field #url)")
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ import http.client
 import json
 import re
 import socket
+import sys
 import threading
 import time
 
 import pytest
-import requests
 
-from checks import assert_valid_html
+from checks import assert_valid_html, fetch
 from sparqlgate.server import MAX_BODY_BYTES, BaseHandler, GatewayServer, serve
 from sparqlgate.testkit import MockRule, MockSparqlEndpoint, results_json, start_mock
 
@@ -29,27 +29,27 @@ def live(gateway):
 
 def test_root_serves_the_dashboard(live):
     server, _ = live
-    response = requests.get(server.url + "/")
-    assert response.status_code == 200
+    response = fetch(server.url + "/")
+    assert response.status == 200
     assert response.headers["Content-Type"] == "text/html; charset=utf-8"
-    assert_valid_html(response.text)
-    assert "API dashboard" in response.text
+    assert_valid_html(response.body)
+    assert "API dashboard" in response.body
 
 
 def test_api_base_serves_the_documentation(live):
     server, _ = live
     for path in ("/api/v1", "/api/v1/"):
-        response = requests.get(server.url + path)
-        assert response.status_code == 200
+        response = fetch(server.url + path)
+        assert response.status == 200
         assert "text/html" in response.headers["Content-Type"]
-        assert "<h1>Citation Gateway</h1>" in response.text
-        assert_valid_html(response.text)
+        assert "<h1>Citation Gateway</h1>" in response.body
+        assert_valid_html(response.body)
 
 
 def test_page_views_are_not_recorded_as_calls(live):
     server, manager = live
-    requests.get(server.url + "/")
-    requests.get(server.url + "/api/v1")
+    fetch(server.url + "/")
+    fetch(server.url + "/api/v1")
     assert manager.stats.snapshot()["global"]["total"] == 0
 
 
@@ -60,25 +60,25 @@ def test_page_views_are_not_recorded_as_calls(live):
 
 def test_get_operation_returns_json_body(live):
     server, _ = live
-    response = requests.get(server.url + "/api/v1/citations/10.1108/jd-12-2013-0166")
-    assert response.status_code == 200
+    response = fetch(server.url + "/api/v1/citations/10.1108/jd-12-2013-0166")
+    assert response.status == 200
     assert response.headers["Content-Type"] == "application/json; charset=utf-8"
-    assert json.loads(response.text)[0]["citing"] == "10.3233/ds-190019"
+    assert json.loads(response.body)[0]["citing"] == "10.3233/ds-190019"
 
 
 def test_accept_header_switches_to_csv(live):
     server, _ = live
-    response = requests.get(
+    response = fetch(
         server.url + "/api/v1/citations/10.1108/jd-12-2013-0166",
         headers={"Accept": "text/csv"},
     )
     assert response.headers["Content-Type"] == "text/csv; charset=utf-8"
-    assert response.text.startswith("citing,cited\n")
+    assert response.body.startswith("citing,cited\n")
 
 
 def test_format_refinement_beats_accept_over_http(live):
     server, _ = live
-    response = requests.get(
+    response = fetch(
         server.url + "/api/v1/citations/10.1108/jd-12-2013-0166?format=json",
         headers={"Accept": "text/csv"},
     )
@@ -87,32 +87,32 @@ def test_format_refinement_beats_accept_over_http(live):
 
 def test_post_operation(live):
     server, _ = live
-    response = requests.post(server.url + "/api/v1/stats/10.3233")
-    assert response.status_code == 200
-    assert json.loads(response.text)[1]["n"] == "10"
+    response = fetch(server.url + "/api/v1/stats/10.3233", "POST")
+    assert response.status == 200
+    assert json.loads(response.body)[1]["n"] == "10"
 
 
 def test_encoded_slash_is_equivalent_to_a_literal_one(live):
     server, _ = live
-    plain = requests.get(server.url + "/api/v1/citations/10.1108/jd-12-2013-0166")
-    encoded = requests.get(server.url + "/api/v1/citations/10.1108%2Fjd-12-2013-0166")
-    assert encoded.status_code == plain.status_code == 200
-    assert encoded.text == plain.text
+    plain = fetch(server.url + "/api/v1/citations/10.1108/jd-12-2013-0166")
+    encoded = fetch(server.url + "/api/v1/citations/10.1108%2Fjd-12-2013-0166")
+    assert encoded.status == plain.status == 200
+    assert encoded.body == plain.body
 
 
 def test_error_statuses_and_bodies_over_http(live):
     server, _ = live
-    missing = requests.get(server.url + "/api/v1/nothing")
-    assert missing.status_code == 404
-    assert json.loads(missing.text) == {
-        "error": json.loads(missing.text)["error"], "status": 404,
+    missing = fetch(server.url + "/api/v1/nothing")
+    assert missing.status == 404
+    assert json.loads(missing.body) == {
+        "error": json.loads(missing.body)["error"], "status": 404,
     }
-    wrong_verb = requests.post(server.url + "/api/v1/citations/10.1108/x")
-    assert wrong_verb.status_code == 405
-    bad_refinement = requests.get(server.url + "/api/v1/citations/10.1108/x?format=xml")
-    assert bad_refinement.status_code == 400
-    outside = requests.get(server.url + "/somewhere/else")
-    assert outside.status_code == 404
+    wrong_verb = fetch(server.url + "/api/v1/citations/10.1108/x", "POST")
+    assert wrong_verb.status == 405
+    bad_refinement = fetch(server.url + "/api/v1/citations/10.1108/x?format=xml")
+    assert bad_refinement.status == 400
+    outside = fetch(server.url + "/somewhere/else")
+    assert outside.status == 404
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +122,10 @@ def test_error_statuses_and_bodies_over_http(live):
 
 def test_calls_are_recorded_with_operation_attribution(live):
     server, manager = live
-    requests.get(server.url + "/api/v1/citations/10.1108/a")
-    requests.get(server.url + "/api/v1/citations/10.1108/b")
-    requests.post(server.url + "/api/v1/citations/10.1108/c")  # 405, still attributed
-    requests.get(server.url + "/api/v1/who-knows")  # 404, global only
+    fetch(server.url + "/api/v1/citations/10.1108/a")
+    fetch(server.url + "/api/v1/citations/10.1108/b")
+    fetch(server.url + "/api/v1/citations/10.1108/c", "POST")  # 405, still attributed
+    fetch(server.url + "/api/v1/who-knows")  # 404, global only
 
     snap = manager.stats.snapshot()
     assert snap["global"]["total"] == 4
@@ -143,8 +143,8 @@ def test_embedded_calls_are_recorded_and_page_views_are_not(live):
     manager.call("/api/v1/citations/10.1108/a")
     manager.get_op("/api/v1/citations/10.1108/b").exec()
     manager.call("/elsewhere/x")  # no loaded api serves it: global only
-    requests.get(server.url + "/")
-    requests.get(server.url + "/api/v1")
+    fetch(server.url + "/")
+    fetch(server.url + "/api/v1")
 
     snap = manager.stats.snapshot()
     assert (snap["global"]["total"], snap["global"]["2xx"], snap["global"]["4xx"]) == (3, 2, 1)
@@ -154,8 +154,8 @@ def test_embedded_calls_are_recorded_and_page_views_are_not(live):
 
 def test_dashboard_shows_recorded_numbers(live):
     server, _ = live
-    requests.get(server.url + "/api/v1/citations/10.1108/a")
-    page = requests.get(server.url + "/").text
+    fetch(server.url + "/api/v1/citations/10.1108/a")
+    page = fetch(server.url + "/").body
     all_calls = next(line for line in page.splitlines() if "All calls" in line)
     assert "<td>1</td><td>1</td><td>0</td><td>0</td>" in all_calls
 
@@ -223,14 +223,20 @@ def on_both_targets(argnames: list[str], cases: list[tuple], ids: list[str]):
 HEADS = on_both_targets(["head"], [(POST_HEAD,), (GET_HEAD,)], ["POST", "GET"])
 
 
-def _statuses(server, raw: bytes) -> list[int]:
-    """Send raw bytes on one connection; the status of every response to them."""
+def _exchange(server, raw: bytes) -> bytes:
+    """Send raw bytes on one connection; everything received until it closes."""
     with socket.create_connection(server.server_address[:2], timeout=5) as sock:
         sock.sendall(raw)
         sock.shutdown(socket.SHUT_WR)
         received = b""
         while chunk := sock.recv(65536):
             received += chunk
+    return received
+
+
+def _statuses(server, raw: bytes) -> list[int]:
+    """Send raw bytes on one connection; the status of every response to them."""
+    received = _exchange(server, raw)
     statuses = []
     while received:
         head, _, rest = received.partition(b"\r\n\r\n")
@@ -287,19 +293,29 @@ def test_head_answers_like_get_without_a_body(target):
     raw = b"".join(
         verb + b" " + path + b" HTTP/1.1\r\nHost: gateway\r\n\r\n" for verb in (b"HEAD", b"GET")
     )
-    with socket.create_connection(target.server_address[:2], timeout=5) as sock:
-        sock.sendall(raw)
-        sock.shutdown(socket.SHUT_WR)
-        received = b""
-        while chunk := sock.recv(65536):
-            received += chunk
-    head_response, _, rest = received.partition(b"\r\n\r\n")
+    head_response, _, rest = _exchange(target, raw).partition(b"\r\n\r\n")
     assert head_response.split()[1] == b"200"
     get_response, _, body = rest.partition(b"\r\n\r\n")
     assert get_response.split()[1] == b"200"
     length = rb"Content-Length: (\d+)"
     head_length = int(re.search(length, head_response).group(1))
     assert head_length == int(re.search(length, get_response).group(1)) == len(body) > 0
+
+
+@on_both_targets([], [()], ["refusals"])
+def test_refusals_get_the_uniform_json_error_body(target):
+    # A refusal http.server makes itself, once an HTML page: 501 for DELETE.
+    host, port = target.server_address[:2]
+    reply = fetch(f"http://{host}:{port}/api/v1/citations/10.1/x", "DELETE")
+    assert reply.status == 501
+    assert reply.headers["Content-Type"] == "application/json; charset=utf-8"
+    assert reply.headers["Connection"] == "close"
+    assert json.loads(reply.body) == {"error": "Unsupported method ('DELETE')", "status": 501}
+    # One of ours: the body after the 411 head is the JSON body and nothing more.
+    chunked = UNSKIPPABLE[0][0]
+    head, _, body = _exchange(target, POST_HEAD + chunked + NEXT_GET).partition(b"\r\n\r\n")
+    assert head.split()[1] == b"411"
+    assert json.loads(body) == {"error": "Transfer-Encoding is not supported", "status": 411}
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +325,51 @@ def test_head_answers_like_get_without_a_body(target):
 
 def test_context_manager_binds_and_stops(gateway):
     with GatewayServer(gateway, port=0).start() as server:
-        assert requests.get(server.url + "/").status_code == 200
+        assert fetch(server.url + "/").status == 200
         url = server.url
-    with pytest.raises(requests.RequestException):
-        requests.get(url + "/", timeout=0.5)
+    with pytest.raises(OSError):
+        fetch(url + "/", timeout=0.5)
+
+
+def test_stop_cuts_the_keep_alive_connections_it_serves(gateway):
+    with serve(gateway, port=0) as server:
+        connection = http.client.HTTPConnection(*server.server_address[:2], timeout=5)
+        connection.request("GET", "/")
+        assert connection.getresponse().read()
+    try:
+        # A stopped server answers nothing more on a connection it accepted.
+        with pytest.raises(OSError):
+            connection.request("GET", "/")
+            connection.getresponse()
+    finally:
+        connection.close()
+
+
+def test_the_server_forgets_every_connection_it_closed(gateway):
+    # The serving thread adds, handler threads discard: nothing may be left over.
+    statuses = []
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with serve(gateway, port=0) as server:
+
+            def caller():
+                for _ in range(25):
+                    statuses.append(fetch(server.url + "/api/v1").status)
+
+            workers = [threading.Thread(target=caller) for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+            assert not any(worker.is_alive() for worker in workers)
+            deadline = time.monotonic() + 5
+            while server._connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not server._connections
+    finally:
+        sys.setswitchinterval(previous)
+    assert statuses == [200] * 100
 
 
 @pytest.mark.parametrize("kind", ["gateway", "mock"])
@@ -336,6 +393,6 @@ def test_two_servers_may_share_one_manager(gateway):
     with GatewayServer(gateway, port=0).start() as one:
         with GatewayServer(gateway, port=0).start() as two:
             assert one.url != two.url
-            requests.get(one.url + "/api/v1/citations/10.1108/a")
-            requests.get(two.url + "/api/v1/citations/10.1108/b")
+            fetch(one.url + "/api/v1/citations/10.1108/a")
+            fetch(two.url + "/api/v1/citations/10.1108/b")
     assert gateway.stats.snapshot()["global"]["total"] == 2

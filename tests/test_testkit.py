@@ -3,8 +3,7 @@ from __future__ import annotations
 import json
 import re
 
-import requests
-
+from checks import fetch
 from sparqlgate.client import dispatch, parse_results
 from sparqlgate.config import parse_document
 from sparqlgate.testkit import (
@@ -93,22 +92,22 @@ def test_first_matching_rule_wins():
 def test_rule_status_controls_the_response_code():
     rule = MockRule(match=re.compile("."), body='{"error": "boom"}', status=503)
     with start_mock([rule]) as mock:
-        response = requests.get(mock.url, params={"query": "any"}, timeout=5)
-    assert response.status_code == 503
+        response = fetch(mock.url + "?query=any", timeout=5)
+    assert response.status == 503
 
 
 def test_unmatched_query_gets_a_diagnostic_400():
     rule = MockRule(match=re.compile("zebra"), body=results_json(["v"], []))
     with start_mock([rule]) as mock:
-        response = requests.get(mock.url, params={"query": "no match here"}, timeout=5)
-    assert response.status_code == 400
-    assert "no match here" in response.text
+        response = fetch(mock.url + "?query=no+match+here", timeout=5)
+    assert response.status == 400
+    assert "no match here" in response.body
 
 
 def test_request_without_query_parameter_is_rejected():
     with start_mock([]) as mock:
-        response = requests.get(mock.url, timeout=5)
-    assert response.status_code == 400
+        response = fetch(mock.url, timeout=5)
+    assert response.status == 400
 
 
 # ---------------------------------------------------------------------------
