@@ -82,6 +82,8 @@ SLOT_RE = re.compile(r"\[\[([A-Za-z_]\w*)\]\]")
 _ALT_SLOT_RE = re.compile(r"\[\{([A-Za-z_]\w*)\}\]")
 _SHAPE_RE = re.compile(r"^([A-Za-z_]\w*)(?:\((.*)\))?$", re.DOTALL)
 NAME_RE = re.compile(r"^[A-Za-z_]\w*$")
+# CR and LF only: str.splitlines also breaks at U+2028, form feed and others.
+_LINE_BREAK_RE = re.compile(r"\r\n|\r|\n")
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +178,7 @@ def split_blocks(text: str) -> list[list[FieldEntry]]:
     current: list[tuple[str, list[str]]] | None = None
     recognized: frozenset[str] = KNOWN_FIELDS
 
-    for line in text.splitlines():
+    for line in _LINE_BREAK_RE.split(text):
         m = _FIELD_LINE_RE.match(line)
         token = m.group(1) if m else None
         if token == "url":

@@ -20,29 +20,17 @@ from dataclasses import dataclass
 
 from .config import ConfigDocument, OperationSpec, load_document
 from .docs import CallStats, operation_id
-from .errors import ConfigError, NotFoundError, SpecValidationError, error_body
+from .errors import ConfigError, SpecValidationError
 from .pipeline import (
     CallOutcome,
+    LoadedApi,
     ProcessRegistry,
     execute,
     register_builtins,
+    resolve,
 )
 from .refine import CSV_MEDIA_TYPE, JSON_MEDIA_TYPE
-from .router import CallRequest, CompiledRoute, compile_routes, match_path
-
-
-@dataclass(frozen=True)
-class LoadedApi:
-    """One configuration document, ready to serve calls."""
-
-    document: ConfigDocument
-    routes: tuple[CompiledRoute, ...]
-    registry: ProcessRegistry
-    source_path: str
-
-    @property
-    def base(self) -> str:
-        return self.document.api.url
+from .router import CallRequest, compile_routes
 
 
 class ApiManager:
@@ -97,20 +85,8 @@ class ApiManager:
         """
         path, _, query = url.partition("?")
         api = self.find_api(path)
-        operation = None
-        if api is None:
-            exc = NotFoundError(f"no loaded api serves {path!r}")
-            outcome = CallOutcome(404, error_body(exc), JSON_MEDIA_TYPE)
-        else:
-            request = CallRequest(
-                full_path=path,
-                method=method.lower(),
-                query_params=_query_pairs(query),
-                accept_header=accept,
-            )
-            outcome, operation = execute(
-                api.document.api, api.routes, api.registry, request
-            )
+        pairs = tuple(urllib.parse.parse_qsl(query, keep_blank_values=True))
+        outcome, operation = execute(api, CallRequest(path, method.lower(), pairs, accept))
         op_id = operation_id(api.document.api, operation) if operation is not None else None
         self.stats.record_call(op_id, outcome.status)
         return outcome, api, operation
@@ -123,13 +99,8 @@ class ApiManager:
         refinements are checked by every exec.
         """
         path = op_complete_url.partition("?")[0]
-        api = self.find_api(path)
-        if api is None:
-            raise NotFoundError(f"no loaded api serves {path!r}")
-        found = match_path(api.routes, path)
-        if found is None:
-            raise NotFoundError(f"no operation matches {path!r}")
-        return OperationHandle(self, op_complete_url, found[0].operation)
+        route, _ = resolve(self.find_api(path), path)
+        return OperationHandle(self, op_complete_url, route.operation)
 
 
 @dataclass(frozen=True)
@@ -151,10 +122,6 @@ class OperationHandle:
         accept = CSV_MEDIA_TYPE if content_type == "csv" else JSON_MEDIA_TYPE
         outcome, _, _ = self.manager.call(self.url, method=method, accept=accept)
         return outcome.status, outcome.body
-
-
-def _query_pairs(query: str) -> tuple[tuple[str, str], ...]:
-    return tuple(urllib.parse.parse_qsl(query, keep_blank_values=True))
 
 
 def _load_addon(conf_path: str, addon: str, registry: ProcessRegistry) -> None:

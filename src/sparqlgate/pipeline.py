@@ -11,17 +11,20 @@ them the body is exactly the serialized parse of the endpoint response.
 Every failure surfaces as a CallOutcome whose status mirrors the error
 (404/405 routing, 400 bad parameter or refinement, 500 endpoint or
 transform trouble) and whose body is the uniform JSON error payload.
+``resolve`` is the one place where a path that no api or no operation
+serves becomes a 404, for ``execute`` and ``ApiManager.get_op`` alike.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 import urllib.parse
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .client import ResultTable, dispatch, parse_results, substitute
-from .config import ApiSpec, OperationSpec, ProcessStep
+from .config import ConfigDocument, OperationSpec, ProcessStep
 from .errors import (
     CallError,
     NotFoundError,
@@ -83,14 +86,30 @@ class ProcessRegistry:
             if step.function not in self.param_fns:
                 raise UnknownFunctionError(
                     f"preprocess function {step.function!r} of {where} is not registered",
+                    block_index=operation.block,
                     field="preprocess",
                 )
         for step in operation.postprocess:
             if step.function not in self.table_fns:
                 raise UnknownFunctionError(
                     f"postprocess function {step.function!r} of {where} is not registered",
+                    block_index=operation.block,
                     field="postprocess",
                 )
+
+
+@dataclass(frozen=True)
+class LoadedApi:
+    """One configuration document, ready to serve calls."""
+
+    document: ConfigDocument
+    routes: tuple[CompiledRoute, ...]
+    registry: ProcessRegistry
+    source_path: str
+
+    @property
+    def base(self) -> str:
+        return self.document.api.url
 
 
 def register_builtins(registry: ProcessRegistry) -> ProcessRegistry:
@@ -168,11 +187,18 @@ def run_postprocess(
 # Full pipeline
 # ---------------------------------------------------------------------------
 
+def resolve(api: LoadedApi | None, path: str) -> tuple[CompiledRoute, re.Match[str]]:
+    """The route that serves path, and its match; NotFoundError when none does."""
+    if api is None:
+        raise NotFoundError(f"no loaded api serves {path!r}")
+    found = match_path(api.routes, path)
+    if found is None:
+        raise NotFoundError(f"no operation matches {path!r}")
+    return found
+
+
 def execute(
-    api: ApiSpec,
-    routes: tuple[CompiledRoute, ...],
-    registry: ProcessRegistry,
-    request: CallRequest,
+    api: LoadedApi | None, request: CallRequest
 ) -> tuple[CallOutcome, OperationSpec | None]:
     """Run the whole pipeline; returns the outcome plus the matched operation.
 
@@ -182,10 +208,7 @@ def execute(
     """
     operation: OperationSpec | None = None
     try:
-        found = match_path(routes, request.full_path)
-        if found is None:
-            raise NotFoundError(f"no operation matches {request.full_path!r}")
-        route, m = found
+        route, m = resolve(api, request.full_path)
         # The operation is pinned before the method check so a 405 is still
         # attributed to it in the call statistics.
         operation = route.operation
@@ -196,12 +219,12 @@ def execute(
             shape.param_name: coerce_binding(raw[shape.param_name], shape)
             for shape in operation.params
         }
-        bindings = run_preprocess(registry, operation.preprocess, bindings)
+        bindings = run_preprocess(api.registry, operation.preprocess, bindings)
         plan = parse_refinements(request.query_params)
         query = substitute(operation.sparql, bindings)
-        _, _, body = dispatch(api.endpoint, query, operation.method)
+        _, _, body = dispatch(api.document.api.endpoint, query, operation.method)
         table = parse_results(body, field_types=operation.field_types)
-        table = run_postprocess(registry, operation.postprocess, table)
+        table = run_postprocess(api.registry, operation.postprocess, table)
         content_type, text = apply_plan(table, plan, request.accept_header)
         return CallOutcome(200, text, content_type), operation
     except CallError as exc:

@@ -9,7 +9,8 @@ captured values are percent-decoded afterwards. Parameter values may span
 this.
 
 The steps stay separate (match, method check, binding extraction, typed
-coercion); ``pipeline.execute`` is the one place that composes them.
+coercion); ``pipeline.resolve`` is the one place that turns a failed match
+into a 404, and ``pipeline.execute`` the one place that composes them.
 """
 
 from __future__ import annotations

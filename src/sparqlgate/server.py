@@ -43,6 +43,8 @@ class BaseHandler(BaseHTTPRequestHandler):
     """HTTP/1.1 body framing and response writing; subclasses add ``_handle``."""
 
     protocol_version = "HTTP/1.1"
+    # A refused request line is answered at this version; at 0.9 it got no status line.
+    default_request_version = "HTTP/1.0"
     disable_nagle_algorithm = True  # TCP_NODELAY: see the module docstring
     # handle_one_request catches the TimeoutError and closes the connection.
     timeout = HANDLER_TIMEOUT_S

@@ -504,6 +504,21 @@ def test_fixture_round_trips_through_serialization():
     assert again == doc
 
 
+@pytest.mark.parametrize(
+    "separator",
+    ["\u2028", "\u2029", "\x0c", "\x0b", "\x85", "\x1c", "\x1d", "\x1e"],
+    ids=["LS", "PS", "FF", "VT", "NEL", "FS", "GS", "RS"],
+)
+def test_only_cr_and_lf_break_lines(separator):
+    # str.splitlines breaks at these too; inside a SPARQL literal that
+    # would turn them into a line feed.
+    sparql = f'SELECT ?s WHERE {{ ?s ?p "a{separator}b[[id]]" }}'
+    text = MINIMAL.replace('SELECT ?s WHERE { ?s ?p "[[id]]" }', sparql)
+    doc = parse_document(text)
+    assert doc.operations[0].sparql == sparql
+    assert serialize_document(doc) == text
+
+
 def test_parsing_is_pure():
     config, _ = fixture_citations()
     assert parse_document(config) == parse_document(config)

@@ -86,9 +86,9 @@ def test_load_errors_name_their_file(conf_path, mock_endpoint, tmp_path):
     with pytest.raises(UnknownFunctionError) as caught:
         ApiManager([conf_path, chain])
     assert (caught.value.path, caught.value.block_index, str(caught.value)) == (
-        chain, None,
+        chain, 2,
         "preprocess function 'lowr' of operation '/alt/citations/{doi}' "
-        f"is not registered (file {chain!r}, field #preprocess)",
+        f"is not registered (file {chain!r}, block 2, field #preprocess)",
     )
 
     # A parse error keeps its block, and gains the file.
@@ -263,6 +263,15 @@ def test_get_op_unknown_path_raises(gateway):
         gateway.get_op("/api/v1/unknown")
     with pytest.raises(NotFoundError):
         gateway.get_op("/elsewhere/x")
+
+
+@pytest.mark.parametrize("path", ["/elsewhere/x", "/api/v1/unknown"])
+def test_get_op_and_call_give_the_same_404(gateway, path):
+    with pytest.raises(NotFoundError) as caught:
+        gateway.get_op(path)
+    outcome, _, _ = gateway.call(path)
+    assert outcome.status == 404
+    assert json.loads(outcome.body)["error"] == str(caught.value)
 
 
 def test_get_op_with_bad_refinement_defers_to_exec(gateway):

@@ -11,6 +11,7 @@ from sparqlgate.client import ResultTable, dispatch, parse_results, substitute
 from sparqlgate.config import ProcessStep, parse_document
 from sparqlgate.errors import TransformError, UnknownFunctionError
 from sparqlgate.pipeline import (
+    LoadedApi,
     ProcessRegistry,
     execute,
     register_builtins,
@@ -34,7 +35,7 @@ def wired(mock_endpoint):
 
 def _call(wired, path, **kwargs):
     doc, routes, registry = wired
-    return execute(doc.api, routes, registry, CallRequest(path, **kwargs))[0]
+    return execute(LoadedApi(doc, routes, registry, ""), CallRequest(path, **kwargs))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +164,7 @@ def test_validate_chains_requires_registered_names():
         registry.validate_chains(doc.api.url, doc.operations[0])
     assert str(caught.value) == (
         "preprocess function 'lowr' of operation '/api/v1/citations/{doi}' "
-        "is not registered (field #preprocess)"
+        "is not registered (block 2, field #preprocess)"
     )
     registry.validate_chains(doc.api.url, doc.operations[2])  # no chains, nothing to check
 
@@ -222,7 +223,7 @@ def test_bad_refinement_beats_an_unreachable_endpoint(monkeypatch):
     request = CallRequest(
         "/api/v1/citations/10.1108/x", query_params=(("sort", "sideways(citing)"),)
     )
-    assert execute(doc.api, routes, registry, request)[0].status == 400
+    assert execute(LoadedApi(doc, routes, registry, ""), request)[0].status == 400
 
 
 def test_json_reshape_under_csv_maps_to_400(wired):
@@ -241,7 +242,7 @@ def test_endpoint_failure_maps_to_500(monkeypatch):
     routes = compile_routes(doc.api, doc.operations)
     registry = register_builtins(ProcessRegistry())
     outcome = execute(
-        doc.api, routes, registry,
+        LoadedApi(doc, routes, registry, ""),
         CallRequest("/api/v1/citations/10.1108/x"),
     )[0]
     assert outcome.status == 500
@@ -258,7 +259,7 @@ def test_upstream_error_status_maps_to_500(wired):
         routes = compile_routes(doc.api, doc.operations)
         registry = register_builtins(ProcessRegistry())
         outcome = execute(
-            doc.api, routes, registry, CallRequest("/api/v1/citations/10.1108/x")
+            LoadedApi(doc, routes, registry, ""), CallRequest("/api/v1/citations/10.1108/x")
         )[0]
     assert outcome.status == 500
     assert "400" in json.loads(outcome.body)["error"]

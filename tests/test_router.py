@@ -12,7 +12,7 @@ from sparqlgate.errors import (
     SpecValidationError,
     TypeMismatchError,
 )
-from sparqlgate.pipeline import ProcessRegistry, execute
+from sparqlgate.pipeline import LoadedApi, ProcessRegistry, execute
 from sparqlgate.router import (
     CallRequest,
     coerce_binding,
@@ -45,7 +45,7 @@ def _execute(path, method="get"):
     config, _ = fixture_citations()
     doc = parse_document(config)
     routes = compile_routes(doc.api, doc.operations)
-    return execute(doc.api, routes, ProcessRegistry(), CallRequest(path, method))
+    return execute(LoadedApi(doc, routes, ProcessRegistry(), ""), CallRequest(path, method))
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,24 @@ def test_refusals_get_the_uniform_json_error_body(target):
     assert json.loads(body) == {"error": "Transfer-Encoding is not supported", "status": 411}
 
 
+@on_both_targets(
+    ["line", "status_line"],
+    [
+        (b"GET / HTTP/2.0", b"HTTP/1.1 505 HTTP Version Not Supported"),
+        (b"GET / HTTP/x", b"HTTP/1.1 400 Bad Request"),
+        (b"GARBAGE", b"HTTP/1.1 400 Bad Request"),
+        (b"GET /", b"HTTP/1.1 200 OK"),
+    ],
+    ["version-2", "bad-version", "one-word", "two-words"],
+)
+def test_a_malformed_request_line_is_answered_with_http_1_framing(target, line, status_line):
+    # http.server answers an HTTP/0.9-style line with the body alone unless
+    # the handler's default request version is 1.x.
+    head, _, body = _exchange(target, line + b"\r\n\r\n").partition(b"\r\n\r\n")
+    assert head.split(b"\r\n")[0] == status_line
+    assert int(re.search(rb"Content-Length: (\d+)", head).group(1)) == len(body) > 0
+
+
 # ---------------------------------------------------------------------------
 # Lifecycle
 # ---------------------------------------------------------------------------
