@@ -16,8 +16,10 @@ Error classes raised here, by failure kind:
 * ParamShapeError — malformed parameter shape or ``#field_type`` entry;
 * ProcessChainError — malformed ``#preprocess`` / ``#postprocess`` text;
 * SpecValidationError — structurally sound but semantically invalid specs
-  (bad method tokens, relative endpoint URL, undeclared query placeholders,
-  chain arguments naming unknown parameters or variables, ...).
+  (bad method tokens, a parameter in the api url, an endpoint that is not an
+  absolute http or https URL or has a bad port, undeclared query
+  placeholders, chain arguments naming unknown parameters or variables, ...);
+* ConfigError itself — a file that is not UTF-8 (``load_document``).
 """
 
 from __future__ import annotations
@@ -215,16 +217,20 @@ def _is_comment_line(line: str) -> bool:
 # Field-level parsers
 # ---------------------------------------------------------------------------
 
+def _typed_term(text: str, what: str, field: str, optional: bool) -> tuple[str, str | None]:
+    """Split ``type(inner)``, where ``(inner)`` may be left out only if optional."""
+    m = _SHAPE_RE.match(text)
+    if not m or (m.group(2) is None and not optional):
+        raise ParamShapeError(f"malformed {what} {text!r}", field=field)
+    value_type = m.group(1)
+    if value_type not in VALUE_TYPES:
+        raise ParamShapeError(f"unknown type {value_type!r} in {what} {text!r}", field=field)
+    return value_type, m.group(2)
+
+
 def parse_param_shape(param_name: str, text: str) -> ParamShape:
     """Parse a shape declaration: ``<type>`` or ``<type>(<regex>)``."""
-    m = _SHAPE_RE.match(text.strip())
-    if not m:
-        raise ParamShapeError(f"malformed shape {text!r}", field=param_name)
-    value_type, pattern = m.group(1), m.group(2)
-    if value_type not in VALUE_TYPES:
-        raise ParamShapeError(
-            f"unknown type {value_type!r} in shape {text!r}", field=param_name
-        )
+    value_type, pattern = _typed_term(text.strip(), "shape", param_name, optional=True)
     if pattern is None:
         pattern = DEFAULT_PATTERN
     try:
@@ -236,14 +242,14 @@ def parse_param_shape(param_name: str, text: str) -> ParamShape:
     return ParamShape(param_name, value_type, pattern)
 
 
-def parse_process_chain(text: str) -> tuple[ProcessStep, ...]:
+def parse_process_chain(text: str, field: str | None = None) -> tuple[ProcessStep, ...]:
     """Parse a ``-->``-separated chain of ``name(arg1, arg2, ...)`` terms."""
     steps = []
     for term in text.split("-->"):
         term = term.strip()
         m = _SHAPE_RE.match(term)
         if not m or m.group(2) is None:
-            raise ProcessChainError(f"malformed chain term {term!r}")
+            raise ProcessChainError(f"malformed chain term {term!r}", field=field)
         name, body = m.group(1), m.group(2).strip()
         args = []
         if body:
@@ -251,7 +257,7 @@ def parse_process_chain(text: str) -> tuple[ProcessStep, ...]:
                 arg = arg.strip()
                 if not NAME_RE.match(arg):
                     raise ProcessChainError(
-                        f"bad argument {arg!r} in chain term {term!r}"
+                        f"bad argument {arg!r} in chain term {term!r}", field=field
                     )
                 args.append(arg)
         steps.append(ProcessStep(name, tuple(args)))
@@ -262,15 +268,7 @@ def parse_field_types(text: str) -> dict[str, str]:
     """Parse ``#field_type`` text: whitespace-separated ``type(var)`` items."""
     field_types: dict[str, str] = {}
     for item in text.split():
-        m = _SHAPE_RE.match(item)
-        if not m or m.group(2) is None:
-            raise ParamShapeError(f"malformed field type {item!r}", field="field_type")
-        value_type, var = m.group(1), m.group(2)
-        if value_type not in VALUE_TYPES:
-            raise ParamShapeError(
-                f"unknown type {value_type!r} in field type {item!r}",
-                field="field_type",
-            )
+        value_type, var = _typed_term(item, "field type", "field_type", optional=False)
         if not NAME_RE.match(var):
             raise ParamShapeError(
                 f"bad variable name {var!r} in field type {item!r}",
@@ -294,11 +292,6 @@ def normalize_slots(sparql: str) -> str:
     return _ALT_SLOT_RE.sub(r"[[\1]]", sparql)
 
 
-def slot_names(sparql: str) -> set[str]:
-    """``[[name]]`` substitution slots of a (normalized) SPARQL template."""
-    return set(SLOT_RE.findall(sparql))
-
-
 # ---------------------------------------------------------------------------
 # Document assembly
 # ---------------------------------------------------------------------------
@@ -311,8 +304,11 @@ def parse_document(text: str) -> ConfigDocument:
     for index, entries in enumerate(split_blocks(text), start=1):
         # Every error raised while building a block is pinned to it here.
         try:
-            _reject_duplicates(entries)
-            values = {e.name: e.value for e in entries}
+            values: dict[str, str] = {}
+            for entry in entries:
+                if entry.name in values:
+                    raise DuplicateFieldError("field declared twice", field=entry.name)
+                values[entry.name] = entry.value
             block_type = values.get("type")
             if block_type is None:
                 raise DocumentStructureError("block has no '#type' field")
@@ -322,8 +318,9 @@ def parse_document(text: str) -> ConfigDocument:
                 api = _build_api(entries, values)
                 known = API_FIELDS
             elif block_type == "operation":
-                operations.append(_build_operation(entries, values, index))
-                known = OPERATION_FIELDS | set(placeholder_names(values["url"]))
+                declared = placeholder_names(values["url"])
+                operations.append(_build_operation(entries, values, declared, index))
+                known = OPERATION_FIELDS | set(declared)
             else:
                 raise DocumentStructureError(f"unknown '#type' value {block_type!r}")
         except ConfigError as exc:
@@ -351,7 +348,11 @@ def parse_document(text: str) -> ConfigDocument:
 def load_document(path: str) -> ConfigDocument:
     """Read a configuration file (UTF-8) and parse it."""
     with open(path, encoding="utf-8") as handle:
-        return parse_document(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"document is not UTF-8: {exc}") from None
+    return parse_document(text)
 
 
 def serialize_document(doc: ConfigDocument) -> str:
@@ -366,27 +367,35 @@ def serialize_document(doc: ConfigDocument) -> str:
     return "\n\n".join(rendered) + "\n"
 
 
-def _reject_duplicates(entries: list[FieldEntry]) -> None:
-    seen: set[str] = set()
-    for entry in entries:
-        if entry.name in seen:
-            raise DuplicateFieldError("field declared twice", field=entry.name)
-        seen.add(entry.name)
-
-
 def _build_api(entries: list[FieldEntry], values: dict[str, str]) -> ApiSpec:
     url = values["url"]
     if not url.startswith("/") or url.endswith("/"):
         raise SpecValidationError(
             f"api url {url!r} must start with '/' and not end with '/'", field="url"
         )
+    # Routes match the api url literally; only operation urls take parameters.
+    placeholder = PLACEHOLDER_RE.search(url)
+    if placeholder:
+        raise SpecValidationError(
+            f"api url {url!r} holds the parameter {placeholder.group()!r}", field="url"
+        )
     endpoint = values.get("endpoint", "")
     if not endpoint:
         raise SpecValidationError("api block declares no '#endpoint'", field="endpoint")
-    parts = urllib.parse.urlparse(endpoint)
-    if not parts.scheme or not parts.netloc:
+    try:
+        parts = urllib.parse.urlparse(endpoint)  # raises on a malformed IPv6 host
+        parts.port  # raises on a port that is not a number in 0-65535
+    except ValueError:
+        raise SpecValidationError(
+            f"endpoint {endpoint!r} has a malformed host or port", field="endpoint"
+        ) from None
+    if not parts.scheme or not parts.hostname:
         raise SpecValidationError(
             f"endpoint {endpoint!r} is not an absolute URL", field="endpoint"
+        )
+    if parts.scheme not in ("http", "https"):
+        raise SpecValidationError(
+            f"endpoint {endpoint!r} is not an http or https URL", field="endpoint"
         )
     methods = _parse_methods(values.get("method"))
     return ApiSpec(
@@ -418,14 +427,13 @@ def _parse_methods(value: str | None) -> tuple[str, ...]:
 
 
 def _build_operation(
-    entries: list[FieldEntry], values: dict[str, str], block: int
+    entries: list[FieldEntry], values: dict[str, str], declared: list[str], block: int
 ) -> OperationSpec:
     template = values["url"]
     if not template.startswith("/"):
         raise SpecValidationError(
             f"operation url {template!r} must start with '/'", field="url"
         )
-    declared = placeholder_names(template)
 
     method_value = values.get("method", "")
     methods = method_value.split()
@@ -439,7 +447,7 @@ def _build_operation(
     if not sparql_raw:
         raise SpecValidationError("operation block declares no '#sparql'", field="sparql")
     sparql = normalize_slots(sparql_raw)
-    undeclared = slot_names(sparql) - set(declared)
+    undeclared = set(SLOT_RE.findall(sparql)) - set(declared)
     if undeclared:
         raise SpecValidationError(
             f"sparql template references undeclared parameters: "
@@ -453,22 +461,8 @@ def _build_operation(
     ]
     field_types = parse_field_types(values.get("field_type", ""))
 
-    preprocess = _parse_chain_field(values, "preprocess")
-    postprocess = _parse_chain_field(values, "postprocess")
-    for step in preprocess:
-        for arg in step.args:
-            if arg not in declared:
-                raise SpecValidationError(
-                    f"preprocess argument {arg!r} is not a declared parameter",
-                    field="preprocess",
-                )
-    for step in postprocess:
-        for arg in step.args:
-            if arg not in field_types:
-                raise SpecValidationError(
-                    f"postprocess argument {arg!r} is not listed in '#field_type'",
-                    field="postprocess",
-                )
+    preprocess = _chain(values, "preprocess", declared, "a declared parameter")
+    postprocess = _chain(values, "postprocess", field_types, "listed in '#field_type'")
 
     return OperationSpec(
         url_template=template,
@@ -486,11 +480,13 @@ def _build_operation(
     )
 
 
-def _parse_chain_field(values: dict[str, str], name: str) -> tuple[ProcessStep, ...]:
-    text = values.get(name, "")
-    if not text:
-        return ()
-    try:
-        return parse_process_chain(text)
-    except ProcessChainError as exc:
-        raise ProcessChainError(exc.bare_message, field=name) from None
+def _chain(values: dict[str, str], name: str, allowed, where: str) -> tuple[ProcessStep, ...]:
+    """Parse the ``#<name>`` chain, whose every argument must be in ``allowed``."""
+    steps = parse_process_chain(values[name], name) if values.get(name) else ()
+    for step in steps:
+        for arg in step.args:
+            if arg not in allowed:
+                raise SpecValidationError(
+                    f"{name} argument {arg!r} is not {where}", field=name
+                )
+    return steps

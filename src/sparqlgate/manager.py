@@ -151,4 +151,9 @@ def _load_addon(conf_path: str, addon: str, registry: ProcessRegistry) -> None:
             f"addon {filename!r} defines no register(registry) function",
             field="addon",
         )
-    register(registry)
+    try:
+        register(registry)
+    except Exception as exc:
+        raise SpecValidationError(
+            f"addon {filename!r} register() failed: {type(exc).__name__}: {exc}", field="addon"
+        ) from None

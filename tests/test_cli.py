@@ -81,6 +81,59 @@ def test_addon_that_does_not_import_is_reported(conf_path, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_addon_whose_register_raises_is_reported(conf_path, tmp_path, capsys):
+    addon = tmp_path / "extras.py"
+    addon.write_text("def register(registry):\n    raise RuntimeError('no')\n", encoding="utf-8")
+    with open(conf_path, encoding="utf-8") as handle:
+        config = handle.read().replace("#endpoint", "#addon extras\n#endpoint", 1)
+    with open(conf_path, "w", encoding="utf-8") as handle:
+        handle.write(config)
+    assert cli_main(["-s", conf_path, "-c", "/api/v1/citations/10.1108/x"]) == 2
+    assert capsys.readouterr().err == (
+        "error: addon 'extras.py' register() failed: RuntimeError: no "
+        f"(file {conf_path!r}, field #addon)\n"
+    )
+
+
+def test_config_that_is_not_utf_8_is_reported(tmp_path, capsys):
+    bad = tmp_path / "latin1.hf"
+    bad.write_bytes(
+        "#url /api\n#type api\n#title Z\u00fcrich\n#endpoint http://127.0.0.1:1/q\n"
+        .encode("latin-1")
+    )
+    assert cli_main(["-s", str(bad), "-c", "/api/x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: document is not UTF-8: ")
+    assert err.endswith(f"(file {str(bad)!r})\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("url", "/api/{v}"),
+        ("endpoint", "ftp://127.0.0.1/sparql"),
+        ("endpoint", "http://127.0.0.1:99999/sparql"),
+        ("endpoint", "http://127.0.0.1:abc/sparql"),
+        ("endpoint", "http://[::1/sparql"),
+        ("endpoint", "http://:1/sparql"),
+    ],
+    ids=["api-url-parameter", "scheme", "port-range", "port-text", "ipv6-host", "no-host"],
+)
+def test_bad_api_url_or_endpoint_fails_loading(conf_path, capsys, field, value):
+    # Each of these once escaped as a traceback or loaded and failed every call.
+    with open(conf_path, encoding="utf-8") as handle:
+        config = handle.read()
+    config = re.sub(rf"^#{field} .*$", f"#{field} {value}", config, count=1, flags=re.M)
+    with open(conf_path, "w", encoding="utf-8") as handle:
+        handle.write(config)
+    assert cli_main(["-s", conf_path, "-c", "/api/v1/citations/10.1108/x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {'api url' if field == 'url' else 'endpoint'} {value!r} ")
+    assert err.endswith(f"(file {conf_path!r}, block 1, field #{field})\n")
+    assert err.count("\n") == 1
+
+
 def test_cli_and_server_import_no_third_party_http_client():
     code = (
         "import sys, sparqlgate.cli, sparqlgate.server; "

@@ -448,6 +448,40 @@ LOAD_ERRORS = {
         "postprocess argument 'score' is not listed in '#field_type' "
         "(block 2, field #postprocess)",
     ),
+    "api-url-parameter": (
+        MINIMAL.replace("#url /api/v1", "#url /api/{v}"),
+        SpecValidationError, 1, "url",
+        "api url '/api/{v}' holds the parameter '{v}' (block 1, field #url)",
+    ),
+    "endpoint-scheme": (
+        MINIMAL.replace("http://127.0.0.1:1/sparql", "ftp://127.0.0.1/sparql"),
+        SpecValidationError, 1, "endpoint",
+        "endpoint 'ftp://127.0.0.1/sparql' is not an http or https URL "
+        "(block 1, field #endpoint)",
+    ),
+    "endpoint-port-out-of-range": (
+        MINIMAL.replace("127.0.0.1:1", "127.0.0.1:99999"),
+        SpecValidationError, 1, "endpoint",
+        "endpoint 'http://127.0.0.1:99999/sparql' has a malformed host or port "
+        "(block 1, field #endpoint)",
+    ),
+    "endpoint-port-not-a-number": (
+        MINIMAL.replace("127.0.0.1:1", "127.0.0.1:abc"),
+        SpecValidationError, 1, "endpoint",
+        "endpoint 'http://127.0.0.1:abc/sparql' has a malformed host or port "
+        "(block 1, field #endpoint)",
+    ),
+    "endpoint-unclosed-ipv6-host": (
+        MINIMAL.replace("127.0.0.1:1", "[::1:1"),
+        SpecValidationError, 1, "endpoint",
+        "endpoint 'http://[::1:1/sparql' has a malformed host or port "
+        "(block 1, field #endpoint)",
+    ),
+    "endpoint-without-host": (
+        MINIMAL.replace("127.0.0.1:1", ":1"),
+        SpecValidationError, 1, "endpoint",
+        "endpoint 'http://:1/sparql' is not an absolute URL (block 1, field #endpoint)",
+    ),
 }
 
 
