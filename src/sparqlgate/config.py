@@ -16,9 +16,10 @@ Error classes raised here, by failure kind:
 * ParamShapeError — malformed parameter shape or ``#field_type`` entry;
 * ProcessChainError — malformed ``#preprocess`` / ``#postprocess`` text;
 * SpecValidationError — structurally sound but semantically invalid specs
-  (bad method tokens, a parameter in the api url, an endpoint that is not an
-  absolute http or https URL or has a bad port, undeclared query
-  placeholders, chain arguments naming unknown parameters or variables, ...);
+  (bad method tokens, a parameter in the api url, an operation url parameter
+  named like an operation field, an endpoint that is not an absolute http or
+  https URL or has a bad port, undeclared query placeholders, chain arguments
+  naming unknown parameters or variables, ...);
 * ConfigError itself — a file that is not UTF-8 (``load_document``).
 """
 
@@ -235,7 +236,7 @@ def parse_param_shape(param_name: str, text: str) -> ParamShape:
         pattern = DEFAULT_PATTERN
     try:
         re.compile(pattern)
-    except re.error as exc:
+    except (re.error, Warning) as exc:  # e.g. "Possible nested set" under -W error
         raise ParamShapeError(
             f"shape pattern {pattern!r} does not compile: {exc}", field=param_name
         ) from None
@@ -434,6 +435,12 @@ def _build_operation(
         raise SpecValidationError(
             f"operation url {template!r} must start with '/'", field="url"
         )
+    # A '#name' line would be read as that field, never as the parameter's shape.
+    for name in declared:
+        if name in OPERATION_FIELDS:
+            raise SpecValidationError(
+                f"url parameter {name!r} is taken by the field '#{name}'", field="url"
+            )
 
     method_value = values.get("method", "")
     methods = method_value.split()

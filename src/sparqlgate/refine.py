@@ -9,6 +9,8 @@ Execution order across kinds is fixed — require, then filter, then sort,
 then format selection, then json — no matter how the parameters were
 interleaved in the URL. Within one kind, parameters apply in URL order.
 ``format`` beats the Accept header; with neither, json is the default.
+``apply_plan`` alone skips, with a warning, a refinement on a field the
+table lacks; the ``apply_*`` steps are plain row transforms.
 
 Typed order follows the field's declared ``#field_type`` through ``values``:
 a sort keys each row once with ``sort_key``, a typed filter uses ``compare``.
@@ -132,7 +134,7 @@ def _parse_filter(value: str) -> FilterSpec:
         return FilterSpec(field=field, operator=rest[0], value=rest[1:])
     try:
         re.compile(rest)
-    except re.error as exc:
+    except (re.error, Warning) as exc:  # e.g. "Possible nested set" under -W error
         raise RefinementSyntaxError(
             f"filter regex {rest!r} does not compile: {exc}"
         ) from None
@@ -173,9 +175,6 @@ def cell_text(cell: Cell) -> str:
 
 def apply_require(table: ResultTable, field: str) -> ResultTable:
     """Drop rows whose cell for ``field`` is empty text, order preserved."""
-    if field not in table.header:
-        log.warning("require on unknown field %r ignored", field)
-        return table
     return table.replaced([r for r in table.rows if cell_text(r[field]) != ""])
 
 
@@ -186,9 +185,6 @@ def apply_filter(table: ResultTable, spec: FilterSpec) -> ResultTable:
     with one, the cell is compared to the value under the field's declared
     type — strict inequality for < and >, typed equality for =.
     """
-    if spec.field not in table.header:
-        log.warning("filter on unknown field %r ignored", spec.field)
-        return table
     value_type = table.type_of(spec.field)
 
     if spec.operator is None:
@@ -209,9 +205,6 @@ def apply_filter(table: ResultTable, spec: FilterSpec) -> ResultTable:
 
 def apply_sort(table: ResultTable, spec: SortSpec) -> ResultTable:
     """Stably sort rows on one field by its typed key, each cell parsed once."""
-    if spec.field not in table.header:
-        log.warning("sort on unknown field %r ignored", spec.field)
-        return table
     value_type = table.type_of(spec.field)
     key = lambda row: sort_key(cell_text(row[spec.field]), value_type)
     return table.replaced(sorted(table.rows, key=key, reverse=spec.order == "desc"))
@@ -219,18 +212,7 @@ def apply_sort(table: ResultTable, spec: SortSpec) -> ResultTable:
 
 def apply_json_array(table: ResultTable, sep: str, field: str) -> ResultTable:
     """Split each text cell of ``field`` into a list cell, empties kept."""
-    if field not in table.header:
-        log.warning("json array on unknown field %r ignored", field)
-        return table
-    rows = []
-    for row in table.rows:
-        cell = row[field]
-        if not isinstance(cell, str):
-            raise RefinementError(
-                f"json array needs text cells, field {field!r} already reshaped"
-            )
-        rows.append({**row, field: cell.split(sep)})
-    return table.replaced(rows)
+    return _reshape(table, field, "json array", lambda text: text.split(sep))
 
 
 def apply_json_dict(
@@ -242,33 +224,32 @@ def apply_json_dict(
     the text yields fewer pieces, the remaining keys get empty text. On a
     list cell (made by a prior array op) the rule applies to every element.
     """
-    if field not in table.header:
-        log.warning("json dict on unknown field %r ignored", field)
-        return table
+    def split(text: str) -> dict[str, str]:
+        pieces = text.split(sep, len(new_fields) - 1)
+        return dict(zip(new_fields, pieces + [""] * (len(new_fields) - len(pieces))))
+
+    return _reshape(table, field, "json dict", split, each_element=True)
+
+
+def _reshape(table: ResultTable, field: str, op: str, split, each_element=False) -> ResultTable:
+    """The json row loop: each text cell of ``field`` becomes ``split(text)``.
+
+    With ``each_element``, each element of a list cell is split instead, and
+    all must be text; any other cell that is not text is refused.
+    """
     rows = []
     for row in table.rows:
         cell = row[field]
         if isinstance(cell, str):
-            reshaped: Cell = _split_record(cell, sep, new_fields)
-        elif isinstance(cell, list):
-            for element in cell:
-                if not isinstance(element, str):
-                    raise RefinementError(
-                        f"json dict needs text elements in field {field!r}"
-                    )
-            reshaped = [_split_record(element, sep, new_fields) for element in cell]
+            cell = split(cell)
+        elif each_element and isinstance(cell, list):
+            if not all(isinstance(element, str) for element in cell):
+                raise RefinementError(f"{op} needs text elements in field {field!r}")
+            cell = [split(element) for element in cell]
         else:
-            raise RefinementError(
-                f"json dict needs text cells, field {field!r} already reshaped"
-            )
-        rows.append({**row, field: reshaped})
+            raise RefinementError(f"{op} needs text cells, field {field!r} already reshaped")
+        rows.append({**row, field: cell})
     return table.replaced(rows)
-
-
-def _split_record(text: str, sep: str, new_fields: tuple[str, ...]) -> dict[str, str]:
-    pieces = text.split(sep, len(new_fields) - 1)
-    pieces += [""] * (len(new_fields) - len(pieces))
-    return dict(zip(new_fields, pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -291,24 +272,30 @@ def format_from_accept(accept_header: str | None) -> str | None:
 def apply_plan(
     table: ResultTable, plan: RefinementPlan, accept_header: str | None = None
 ) -> tuple[str, str]:
-    """Run a plan in the fixed kind order; returns (content type, body)."""
+    """Run a plan in the fixed kind order; returns (content type, body).
+
+    A refinement on a field the table lacks is skipped with a warning here,
+    so each ``apply_*`` step may take its field as present.
+    """
     fmt = plan.format or format_from_accept(accept_header) or "json"
+    if plan.json_ops and fmt == "csv":
+        raise RefinementError("json refinements need the json format")
 
-    for field in plan.requires:
-        table = apply_require(table, field)
-    for spec in plan.filters:
-        table = apply_filter(table, spec)
-    for spec in plan.sorts:
-        table = apply_sort(table, spec)
-
-    if plan.json_ops:
-        if fmt == "csv":
-            raise RefinementError("json refinements need the json format")
-        for op in plan.json_ops:
-            if op.op == "array":
-                table = apply_json_array(table, op.separator, op.field)
-            else:
-                table = apply_json_dict(table, op.separator, op.field, op.new_fields)
+    # (kind, field, step, step arguments after the table), in execution order.
+    steps = [("require", field, apply_require, (field,)) for field in plan.requires]
+    steps += [("filter", spec.field, apply_filter, (spec,)) for spec in plan.filters]
+    steps += [("sort", spec.field, apply_sort, (spec,)) for spec in plan.sorts]
+    for op in plan.json_ops:
+        if op.op == "array":
+            steps.append(("json array", op.field, apply_json_array, (op.separator, op.field)))
+        else:
+            args = (op.separator, op.field, op.new_fields)
+            steps.append(("json dict", op.field, apply_json_dict, args))
+    for kind, field, step, args in steps:
+        if field in table.header:
+            table = step(table, *args)
+        else:
+            log.warning("%s on unknown field %r ignored", kind, field)
 
     if fmt == "csv":
         return CSV_MEDIA_TYPE, serialize_csv(table)

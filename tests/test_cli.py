@@ -134,6 +134,20 @@ def test_bad_api_url_or_endpoint_fails_loading(conf_path, capsys, field, value):
     assert err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_shape_regex_that_warns_fails_loading(conf_path, capsys):
+    # Under -W error, re.compile raises its FutureWarning "Possible nested set".
+    with open(conf_path, encoding="utf-8") as handle:
+        config = handle.read()
+    with open(conf_path, "w", encoding="utf-8") as handle:
+        handle.write(config.replace(r"#doi str(10\..+)", "#doi str([[a]-z)", 1))
+    assert cli_main(["-s", conf_path, "-c", "/api/v1/citations/10.1108/x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: shape pattern '[[a]-z' does not compile: ")
+    assert err.endswith(f"(file {conf_path!r}, block 2, field #doi)\n")
+    assert err.count("\n") == 1
+
+
 def test_cli_and_server_import_no_third_party_http_client():
     code = (
         "import sys, sparqlgate.cli, sparqlgate.server; "

@@ -448,6 +448,14 @@ LOAD_ERRORS = {
         "postprocess argument 'score' is not listed in '#field_type' "
         "(block 2, field #postprocess)",
     ),
+    **{
+        f"parameter-named-{name}": (
+            MINIMAL.replace("/works/{id}", f"/works/{{{name}}}"),
+            SpecValidationError, 2, "url",
+            f"url parameter {name!r} is taken by the field '#{name}' (block 2, field #url)",
+        )
+        for name in ("type", "method", "url", "sparql", "call")
+    },
     "api-url-parameter": (
         MINIMAL.replace("#url /api/v1", "#url /api/{v}"),
         SpecValidationError, 1, "url",

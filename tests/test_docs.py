@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import threading
 
@@ -88,6 +89,10 @@ def test_docs_page_carries_api_metadata_and_examples():
     assert '<a href="/api/v1/citations/10.1108/jd-12-2013-0166">' in page
     assert "&quot;citing&quot;: &quot;10.3233/ds-190019&quot;" in page  # pretty JSON example
     assert "<td>datetime</td>" in page  # field-type table
+    # An example output that is not JSON is shown escaped, as written.
+    odd = dataclasses.replace(doc.operations[0], output_json_example='{"a": <b> & c')
+    page = render_docs(doc.api, (odd,))
+    assert "<pre>{&quot;a&quot;: &lt;b&gt; &amp; c</pre>" in page
 
 
 def test_docs_render_is_deterministic():

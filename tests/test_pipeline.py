@@ -122,11 +122,21 @@ def test_postprocess_wraps_raises_and_bad_returns():
     registry = ProcessRegistry()
     registry.register_table("explode", lambda table: 1 / 0)
     registry.register_table("not_a_table", lambda table: "oops")
+    own = TransformError("inner", "gave up")
+
+    def refuse(table):
+        raise own
+
+    registry.register_table("refuse", refuse)
     table = ResultTable(("x",), {}, [])
     with pytest.raises(TransformError):
         run_postprocess(registry, (ProcessStep("explode", ()),), table)
     with pytest.raises(TransformError):
         run_postprocess(registry, (ProcessStep("not_a_table", ()),), table)
+    # A transform's own TransformError passes through, not wrapped again.
+    with pytest.raises(TransformError) as caught:
+        run_postprocess(registry, (ProcessStep("refuse", ()),), table)
+    assert caught.value is own
 
 
 def test_unexpected_failure_is_a_500_outcome_with_the_uniform_body(mock_endpoint, caplog):
@@ -224,6 +234,18 @@ def test_bad_refinement_beats_an_unreachable_endpoint(monkeypatch):
         "/api/v1/citations/10.1108/x", query_params=(("sort", "sideways(citing)"),)
     )
     assert execute(LoadedApi(doc, routes, registry, ""), request)[0].status == 400
+
+
+@pytest.mark.filterwarnings("error")
+def test_filter_regex_that_warns_maps_to_400(wired):
+    # Under -W error, re.compile raises its FutureWarning "Possible nested set".
+    outcome = _call(
+        wired, "/api/v1/citations/10.1108/x", query_params=(("filter", "citing:[[a]"),)
+    )
+    assert outcome.status == 400
+    assert json.loads(outcome.body)["error"].startswith(
+        "filter regex '[[a]' does not compile: "
+    )
 
 
 def test_json_reshape_under_csv_maps_to_400(wired):

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from checks import oracle_sorted
+from sparqlgate import refine
 from sparqlgate.client import ResultTable
 from sparqlgate.errors import RefinementError, RefinementSyntaxError
 from sparqlgate.refine import (
@@ -130,19 +131,24 @@ def test_require_drops_rows_with_empty_cells():
     assert apply_require(out, "creation").rows == out.rows
 
 
-def test_require_on_unknown_field_is_a_warned_noop(caplog):
+def _noop_plan(table, caplog, *params):
+    """Apply the refinements and check that the table comes out unchanged."""
     with caplog.at_level("WARNING"):
-        out = apply_require(INFO, "ghost")
-    assert out.rows == INFO.rows
-    assert any("ghost" in r.message for r in caplog.records)
+        out = apply_plan(table, parse_refinements(params))
+    assert out == (JSON_MEDIA_TYPE, serialize_json(table))
+    return [r.getMessage() for r in caplog.records if "ghost" in r.getMessage()]
+
+
+def test_require_on_unknown_field_is_a_warned_noop(caplog):
+    warnings = _noop_plan(INFO, caplog, ("require", "ghost"))
+    assert warnings == ["require on unknown field 'ghost' ignored"]
 
 
 def test_filter_and_sort_on_unknown_fields_are_warned_noops(caplog):
-    with caplog.at_level("WARNING"):
-        assert apply_filter(INFO, FilterSpec("ghost", None, "x")).rows == INFO.rows
-        assert apply_filter(INFO, FilterSpec("ghost", ">", "1")).rows == INFO.rows
-        assert apply_sort(INFO, SortSpec("desc", "ghost")).rows == INFO.rows
-    assert len([r for r in caplog.records if "ghost" in r.message]) == 3
+    warnings = _noop_plan(
+        INFO, caplog, ("filter", "ghost:x"), ("filter", "ghost:>1"), ("sort", "desc(ghost)")
+    )
+    assert len(warnings) == 3
 
 
 def test_regex_filter_searches_anywhere_in_the_cell():
@@ -291,10 +297,13 @@ def test_dict_refuses_record_cells():
 
 def test_json_ops_on_unknown_fields_are_warned_noops(caplog):
     table = _table(("x",), [{"x": "a/b"}])
-    with caplog.at_level("WARNING"):
-        assert apply_json_array(table, "/", "ghost").rows == table.rows
-        assert apply_json_dict(table, "/", "ghost", ("a", "b")).rows == table.rows
-    assert len([r for r in caplog.records if "ghost" in r.message]) == 2
+    warnings = _noop_plan(
+        table, caplog, ("json", 'array("/", ghost)'), ("json", 'dict("/", ghost, a, b)')
+    )
+    assert warnings == [
+        "json array on unknown field 'ghost' ignored",
+        "json dict on unknown field 'ghost' ignored",
+    ]
 
 
 def test_dict_split_reassembly_property():
@@ -380,10 +389,25 @@ def test_format_from_accept_parses_lists_and_parameters():
     assert format_from_accept(None) is None
 
 
-def test_json_reshaping_under_csv_format_is_an_error():
+def test_json_reshaping_under_csv_format_is_an_error(monkeypatch):
     plan = parse_refinements((("json", 'array("/", citing)'), ("format", "csv")))
     with pytest.raises(RefinementError):
         apply_plan(INFO, plan)
+    # The refusal comes before any row step: no sort runs, and an invalid
+    # typed filter value is not reached.
+    sorted_tables = []
+    monkeypatch.setattr(refine, "apply_sort", lambda table, spec: sorted_tables.append(table))
+    plan = parse_refinements(
+        (
+            ("filter", "creation:>yesterday"),
+            ("sort", "asc(citing)"),
+            ("json", 'array("/", citing)'),
+        )
+    )
+    with pytest.raises(RefinementError) as caught:
+        apply_plan(INFO, plan, accept_header=CSV_MEDIA_TYPE)
+    assert str(caught.value) == "json refinements need the json format"
+    assert sorted_tables == []
 
 
 def test_json_ops_apply_in_sequence():
