@@ -18,6 +18,12 @@ the endpoint closed while it sat idle fails before any response byte; the
 call is then sent once more on a fresh connection. Redirects are not
 followed, and bodies larger than ``MAX_RESPONSE_BYTES`` are refused.
 
+Results are decoded one solution at a time. ``parse_results`` reads the
+top-level object and ``results`` member by member, and each solution in
+``bindings`` is decoded on its own, turned into its row and dropped. So a
+call holds the body, the rows and the binding objects of one solution, not
+the whole decoded document; it still rejects what ``json.loads`` rejects.
+
 Substitution into query templates is a raw text splice over the slots that
 ``config.SLOT_RE`` finds at load time: the parameter's shape pattern is the
 only injection guard, which makes shape patterns a config-author
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import re
 import urllib.parse
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -38,9 +45,15 @@ from .errors import EndpointStatusError, EndpointUnreachableError, ResultParseEr
 RESULTS_JSON = "application/sparql-results+json"
 TIMEOUT = 30.0  # seconds per upstream query, to connect and to answer alike
 # 4.5 times the largest body the benchmark serves (7.1 MB, a 20k-row table).
-# Parsing and writing that table peaked at 52 MB under tracemalloc, about 7
-# times the body, so one call at the cap stays near 250 MB.
+# Decoding, parsing and writing that table as JSON peaks at 22 MB under
+# tracemalloc, about 3 times the body (59 MB, 8.4 times, when the whole
+# document was decoded at once), so one call at the cap stays near 100 MB.
 MAX_RESPONSE_BYTES = 32 << 20
+
+# json.loads's own decoder, which can start at any index of a document.
+_decode = json.JSONDecoder().raw_decode
+_space = re.compile(r"[ \t\n\r]*").match  # RFC 8259 whitespace
+_token = re.compile(r"[ \t\n\r]*([,:\]}]?)[ \t\n\r]*").match  # a delimiter, if any
 
 # Idle keep-alive connections per origin (scheme, host, port). dict.setdefault,
 # list.pop and list.append are each atomic, so threads share them without a lock.
@@ -155,37 +168,104 @@ def parse_results(
 
     Header order is the endpoint-reported variable order; every solution
     becomes one row, with unbound variables as empty-text cells; solution
-    order and count are preserved.
+    order and count are preserved. What ``json.loads`` or the checks here
+    reject is a ResultParseError.
     """
     try:
-        document = json.loads(body)
-        variables = document["head"]["vars"]
+        document = _walk(body)
+        header = _header(document["head"])
         solutions = document["results"]["bindings"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ResultParseError(f"malformed SPARQL results document: {exc}") from None
-    if not isinstance(variables, list) or not isinstance(solutions, list):
+    if header is None or not isinstance(solutions, _Solutions):
         raise ResultParseError("malformed SPARQL results document: bad head/results")
-
-    header = tuple(str(v) for v in variables)
-    rows: list[dict[str, Cell]] = []
-    for solution in solutions:
-        if not isinstance(solution, dict):
-            raise ResultParseError("malformed SPARQL results document: bad binding")
-        row: dict[str, Cell] = {}
-        for variable in header:
-            bound = solution.get(variable)
-            if bound is None:
-                row[variable] = ""
-                continue
-            try:
-                value = bound["value"]
-            except (KeyError, TypeError):
-                raise ResultParseError(
-                    f"malformed SPARQL results document: bad binding for {variable!r}"
-                ) from None
-            row[variable] = value if isinstance(value, str) else str(value)
-        rows.append(row)
-
+    if solutions.header != header:  # the head came after the bindings, or came again
+        solutions = _Solutions(body, solutions.start, header)
+    if solutions.error is not None:
+        raise ResultParseError(solutions.error)
     declared = field_types or {}
     types = {variable: declared.get(variable, "str") for variable in header}
-    return ResultTable(header=header, types=types, rows=rows)
+    return ResultTable(header=header, types=types, rows=solutions.rows)
+
+
+def _header(head: object) -> tuple[str, ...] | None:
+    variables = head.get("vars") if isinstance(head, dict) else None
+    return tuple(str(v) for v in variables) if isinstance(variables, list) else None
+
+
+def _walk(body: str) -> object:
+    """``json.loads(body)``, reading the top-level object and ``results`` by
+    hand: an array at results.bindings becomes _Solutions."""
+    document: dict = {}
+
+    def top(key: str, i: int) -> tuple[object, int]:
+        if key == "results" and body.startswith("{", i):
+            return _object(body, i, {}, results)
+        return _decode(body, i)
+
+    def results(key: str, i: int) -> tuple[object, int]:
+        if key == "bindings" and body.startswith("[", i):
+            solutions = _Solutions(body, i, _header(document.get("head")))
+            return solutions, solutions.end
+        return _decode(body, i)
+
+    i = _space(body).end()
+    value, i = _object(body, i, document, top) if body.startswith("{", i) else _decode(body, i)
+    if _space(body, i).end() != len(body):
+        raise json.JSONDecodeError("Extra data", body, i)
+    return value
+
+
+def _object(body: str, i: int, members: dict, value) -> tuple[dict, int]:
+    """Read the object at body[i] into members; value(key, j) reads the member value at j."""
+    token, expected = _token(body, i + 1), ""
+    while token[1] != "}":
+        key, i = _decode(body, token.end())
+        colon = _token(body, i)
+        if token[1] != expected or not isinstance(key, str) or colon[1] != ":":
+            raise json.JSONDecodeError("Expecting ',' and a property name", body, token.end())
+        members[key], i = value(key, colon.end())  # the last one wins, as in json.loads
+        token, expected = _token(body, i), ","
+    return members, token.end()
+
+
+class _Solutions:
+    """The bindings array at body[start], read one solution at a time: each
+    becomes its row under header and is dropped. A bad one is kept as the
+    error, not raised, as a later member may replace the head or the bindings."""
+
+    def __init__(self, body: str, start: int, header: tuple[str, ...] | None):
+        self.start, self.header = start, header
+        self.error: str | None = None
+        self.rows: list[dict[str, Cell]] = []
+        token, expected = _token(body, start + 1), ""
+        while token[1] != "]":
+            if token[1] != expected:
+                raise json.JSONDecodeError("Expecting ',' delimiter", body, token.start(1))
+            solution, i = _decode(body, token.end())
+            if header is not None:
+                try:
+                    self.rows.append(_row(solution, header))
+                except ResultParseError as exc:
+                    self.error, header = str(exc), None
+            token, expected = _token(body, i), ","
+        self.end = token.end()
+
+
+def _row(solution: object, header: tuple[str, ...]) -> dict[str, Cell]:
+    if not isinstance(solution, dict):
+        raise ResultParseError("malformed SPARQL results document: bad binding")
+    row: dict[str, Cell] = {}
+    for variable in header:
+        bound = solution.get(variable)
+        if bound is None:
+            row[variable] = ""
+            continue
+        try:
+            value = bound["value"]
+        except (KeyError, TypeError):
+            raise ResultParseError(
+                f"malformed SPARQL results document: bad binding for {variable!r}"
+            ) from None
+        row[variable] = value if isinstance(value, str) else str(value)
+    return row

@@ -89,7 +89,7 @@ class BaseHandler(BaseHTTPRequestHandler):
             self.wfile.write(payload)
 
     def log_message(self, format: str, *args) -> None:
-        log.debug("%s - %s", self.address_string(), format % args)
+        log.debug("%s - " + format, self.address_string(), *args)
 
 
 class _Handler(BaseHandler):

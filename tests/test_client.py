@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import http.client
 import json
+import random
 import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -91,6 +93,9 @@ def test_zero_solutions_keep_the_header():
     assert table.rows == []
 
 
+VALID = '{"head": {"vars": ["x"]}, "results": {"bindings": [{"x": {"value": "1"}}]}}'
+
+
 def test_malformed_results_documents_are_rejected():
     bad = (
         "not json",
@@ -101,9 +106,23 @@ def test_malformed_results_documents_are_rejected():
         json.dumps({"head": {"vars": ["x"]}, "results": {"bindings": [["x"]]}}),
         json.dumps({"head": {"vars": ["x"]}, "results": {"bindings": [{"x": {"type": "literal"}}]}}),
         json.dumps(["head", "results"]),
+        # What json.loads rejects, at the levels that are read by hand too.
+        VALID + " x",
+        VALID + "{}",
+        VALID.replace('"1"}}]', '"1"}},]'),  # a trailing comma in bindings
+        VALID.replace("[{", '[{"x": {"value": "0"}} {'),  # a missing comma
+        VALID.replace('}, "results"', '} "results"'),
+        VALID.replace("]}}", "}}"),  # an array closed by a brace
+        VALID[:-3],  # an array never closed
+        "\ufeff" + VALID,  # a leading byte order mark
+        VALID.replace('[{"x": {"value": "1"}}]', '{"x": {"value": "1"}}'),
+        VALID.replace('[{"x": {"value": "1"}}]', '"x"'),
+        VALID.replace('{"head"', '{1: 2, "head"'),
+        VALID.replace('"bindings":', '"bindings"'),
+        VALID.replace('"1"', "1" + "0" * 5000),  # more digits than int() reads
     )
     for body in bad:
-        with pytest.raises(ResultParseError):
+        with pytest.raises(ResultParseError, match="^malformed SPARQL results document: "):
             parse_results(body)
     # A binding that is not an object with a "value" names its variable.
     for binding in ({"type": "literal"}, ["x"], "text", 7, 2.5, True, False):
@@ -117,6 +136,129 @@ def test_null_binding_reads_as_empty_text():
     body = json.dumps({"head": {"vars": ["x", "y"]},
                        "results": {"bindings": [{"x": None, "y": {"value": 3}}]}})
     assert parse_results(body).rows == [{"x": "", "y": "3"}]
+
+
+def test_deeply_nested_bodies_are_parse_errors(tmp_path, caplog):
+    # The decoder gives up on deep nesting with a RecursionError: the body is
+    # malformed, which is no internal error and logs no traceback.
+    deep = "[" * 100_000 + "]" * 100_000
+    body = '{"head": {"vars": ["x"]}, "results": {"bindings": [{"x": {"value": %s}}]}}' % deep
+    with pytest.raises(ResultParseError, match="^malformed SPARQL results document: "):
+        parse_results(body)
+    with start_mock([MockRule(re.compile(""), body)]) as endpoint:
+        manager = ApiManager([fixture_file(tmp_path, endpoint.url)])
+        with caplog.at_level("ERROR"):
+            outcome, _, _ = manager.call("/api/v1/citations/10.1108/jd-12-2013-0166")
+    assert outcome.status == 500
+    assert json.loads(outcome.body)["error"].startswith("malformed SPARQL results document: ")
+    assert caplog.records == []
+
+
+def _spaced(value: object, rng: random.Random) -> str:
+    """value as JSON, with random RFC 8259 whitespace between every two tokens."""
+
+    def space() -> str:
+        return "".join(rng.choice(" \t\n\r") for _ in range(rng.randrange(3)))
+
+    if isinstance(value, dict):
+        brackets, items = "{}", [
+            json.dumps(key) + space() + ":" + space() + _spaced(item, rng)
+            for key, item in value.items()
+        ]
+    elif isinstance(value, list):
+        brackets, items = "[]", [_spaced(item, rng) for item in value]
+    else:
+        return json.dumps(value)
+    separator = space() + "," + space()
+    return brackets[0] + space() + separator.join(items) + space() + brackets[1]
+
+
+def _shuffled(members: dict, rng: random.Random) -> dict:
+    items = list(members.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+def _random_document(rng: random.Random) -> str:
+    variables = rng.sample(["s", "label", "n", "when", "o"], rng.randrange(1, 6))
+    solutions = []
+    for _ in range(rng.randrange(8)):
+        solution = {}
+        for variable in variables + ["unselected"]:
+            if rng.random() < 0.2:
+                continue  # unbound
+            binding = {"type": "literal", "value": rng.choice(["x", "", 'a "b", c', "é\u2028"])}
+            if rng.random() < 0.3:
+                binding["datatype"] = "http://www.w3.org/2001/XMLSchema#integer"
+            elif rng.random() < 0.3:
+                binding["xml:lang"] = "en"
+            solution[variable] = _shuffled(binding, rng)
+        solutions.append(solution)
+    head = {"vars": variables, "link": ["http://example.org/about"]}
+    results = {"bindings": solutions, "distinct": False, "ordered": True}
+    document = {"head": _shuffled(head, rng), "results": _shuffled(results, rng)}
+    if rng.random() < 0.5:
+        document["link"] = []
+    return rng.choice(["", " ", "\n"]) + _spaced(_shuffled(document, rng), rng) + "\n"
+
+
+def _reference_rows(body: str) -> tuple[tuple[str, ...], list[dict[str, str]]]:
+    document = json.loads(body)
+    header = tuple(document["head"]["vars"])
+    solutions = document["results"]["bindings"]
+    return header, [{v: s[v]["value"] if v in s else "" for v in header} for s in solutions]
+
+
+def test_parsing_matches_a_json_loads_reference_in_any_layout():
+    rng = random.Random(18)
+    orders = set()
+    for _ in range(300):
+        body = _random_document(rng)
+        orders.add(body.index('"head"') < body.index('"results"'))
+        table = parse_results(body)
+        assert (table.header, table.rows) == _reference_rows(body), body
+    assert orders == {True, False}  # results came before head, and after it
+
+
+def test_a_repeated_member_counts_once_and_the_last_one_wins():
+    head_x, head_y = '"head": {"vars": ["x"]}', '"head": {"vars": ["y"]}'
+    rows = '"results": {"bindings": [{"x": {"value": "1"}, "y": {"value": "2"}}]}'
+    bad = '"results": {"bindings": [{"x": 5}]}'
+    cases = {
+        f"{{{head_x}, {rows}, {head_y}}}": [{"y": "2"}],
+        f"{{{rows}, {head_x}, {head_y}}}": [{"y": "2"}],
+        f"{{{head_x}, {bad}, {rows}}}": [{"x": "1"}],
+        f"{{{head_x}, {bad}, {head_y}}}": [{"y": ""}],
+        '{"head": {"vars": ["x"]}, "results": {"bindings": 3, "bindings": []}}': [],
+    }
+    for body, expected in cases.items():
+        assert parse_results(body).rows == _reference_rows(body)[1] == expected, body
+
+
+def test_parsing_holds_the_bindings_of_one_solution_at_a_time():
+    header = ("s", "label", "n", "score", "span", "created", "tags")
+    rows = [
+        {
+            "s": f"https://example.org/work/{i}",
+            "label": f"Work number {i}, \"revised\"",
+            "n": str(i * 37),
+            "score": f"{i / 7:.4f}",
+            "span": f"P{i % 30}DT{i % 24}H",
+            "created": f"2020-01-{i % 28 + 1:02d}T10:00:00Z",
+            "tags": "a;b;c" if i % 3 else None,
+        }
+        for i in range(1000)
+    ]
+    body = results_json(header, rows)
+    tracemalloc.start()
+    try:
+        table = parse_results(body)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.rows) == 1000
+    # json.loads would hold every binding object at once: about 5 times the body.
+    assert peak - retained < 0.5 * len(body)
 
 
 def test_replaced_shares_header_and_types():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
 import re
 import socket
 import sys
@@ -334,6 +335,24 @@ def test_a_malformed_request_line_is_answered_with_http_1_framing(target, line, 
     head, _, body = _exchange(target, line + b"\r\n\r\n").partition(b"\r\n\r\n")
     assert head.split(b"\r\n")[0] == status_line
     assert int(re.search(rb"Content-Length: (\d+)", head).group(1)) == len(body) > 0
+
+
+def test_request_lines_are_formatted_only_when_debug_logging_is_on(caplog):
+    formatted = []
+
+    class RequestLine:
+        def __str__(self) -> str:
+            formatted.append(self)
+            return "GET / HTTP/1.1"
+
+    handler = BaseHandler.__new__(BaseHandler)  # log_message reads only the address
+    handler.client_address = ("127.0.0.1", 5000)
+    with caplog.at_level(logging.INFO, logger="sparqlgate.server"):
+        handler.log_message('"%s" %s %s', RequestLine(), "200", "-")
+    assert formatted == [] and caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="sparqlgate.server"):
+        handler.log_message('"%s" %s %s', RequestLine(), "200", "-")
+    assert [r.getMessage() for r in caplog.records] == ['127.0.0.1 - "GET / HTTP/1.1" 200 -']
 
 
 # ---------------------------------------------------------------------------
