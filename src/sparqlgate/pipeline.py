@@ -82,20 +82,17 @@ class ProcessRegistry:
         the operation in the error.
         """
         where = f"operation {base + operation.url_template!r}"
-        for step in operation.preprocess:
-            if step.function not in self.param_fns:
-                raise UnknownFunctionError(
-                    f"preprocess function {step.function!r} of {where} is not registered",
-                    block_index=operation.block,
-                    field="preprocess",
-                )
-        for step in operation.postprocess:
-            if step.function not in self.table_fns:
-                raise UnknownFunctionError(
-                    f"postprocess function {step.function!r} of {where} is not registered",
-                    block_index=operation.block,
-                    field="postprocess",
-                )
+        for name, chain, registered in (
+            ("preprocess", operation.preprocess, self.param_fns),
+            ("postprocess", operation.postprocess, self.table_fns),
+        ):
+            for step in chain:
+                if step.function not in registered:
+                    raise UnknownFunctionError(
+                        f"{name} function {step.function!r} of {where} is not registered",
+                        block_index=operation.block,
+                        field=name,
+                    )
 
 
 @dataclass(frozen=True)

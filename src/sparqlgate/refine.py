@@ -5,12 +5,12 @@ answers: ``require`` drops rows with an empty cell, ``filter`` keeps rows
 matching a regex or a typed comparison, ``sort`` orders rows, ``format``
 picks csv or json, and ``json`` reshapes cell text into arrays or records.
 
-Execution order across kinds is fixed — require, then filter, then sort,
-then format selection, then json — no matter how the parameters were
-interleaved in the URL. Within one kind, parameters apply in URL order.
+``parse_refinements`` makes the plan: the output format and the steps in
+run order, every require, then filter, then sort, then json step, however
+the parameters were interleaved in the URL; within one kind, URL order.
 ``format`` beats the Accept header; with neither, json is the default.
-``apply_plan`` alone skips, with a warning, a refinement on a field the
-table lacks; the ``apply_*`` steps are plain row transforms.
+``apply_plan`` runs the steps, and alone skips, with a warning, one on a
+field the table lacks; the ``apply_*`` steps are plain row transforms.
 
 Typed order follows the field's declared ``#field_type`` through ``values``:
 a sort keys each row once with ``sort_key``, a typed filter uses ``compare``.
@@ -36,10 +36,12 @@ log = logging.getLogger(__name__)
 
 CSV_MEDIA_TYPE = "text/csv"
 JSON_MEDIA_TYPE = "application/json"
+_ACCEPT_FORMATS = {CSV_MEDIA_TYPE: "csv", JSON_MEDIA_TYPE: "json"}
 
 _FILTER_RE = re.compile(r"^([A-Za-z_]\w*):(.*)$", re.DOTALL)
 _SORT_RE = re.compile(r"^(asc|desc)\(\s*([A-Za-z_]\w*)\s*\)$")
 _JSON_RE = re.compile(r'^(array|dict)\(\s*"([^"]*)"\s*,(.*)\)$', re.DOTALL)
+_zero_weight = re.compile(r";\s*q=0(\.0{0,3})?\s*(;|$)", re.IGNORECASE).search
 _csv_needs_quotes = re.compile(r'[,"\n\r]').search
 # The C string encoder that json.dumps itself uses with ensure_ascii=False.
 _encode_text = json.encoder.encode_basestring
@@ -65,64 +67,51 @@ class SortSpec:
 
 
 @dataclass(frozen=True)
-class JsonOpSpec:
-    op: str
-    separator: str
-    field: str
-    new_fields: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class RefinementPlan:
-    """Parsed refinement parameters, URL order kept within each kind."""
+    """The output format, and the steps in run order, each a tuple
+    ``(kind, field, step function, arguments after the table)``.
+    """
 
-    requires: tuple[str, ...] = ()
-    filters: tuple[FilterSpec, ...] = ()
-    sorts: tuple[SortSpec, ...] = ()
     format: str | None = None
-    json_ops: tuple[JsonOpSpec, ...] = ()
+    steps: tuple[tuple, ...] = ()
 
 
 def parse_refinements(query_params: tuple[tuple[str, str], ...]) -> RefinementPlan:
-    """Route query parameters into a RefinementPlan.
+    """Turn query parameters into a RefinementPlan, steps in run order.
 
     Unknown keys are ignored with a warning; the last ``format`` wins;
     malformed values raise RefinementSyntaxError (status 400).
     """
-    requires: list[str] = []
-    filters: list[FilterSpec] = []
-    sorts: list[SortSpec] = []
-    json_ops: list[JsonOpSpec] = []
+    # The apply_* functions are looked up per call, so a wrapped one is what runs.
+    slots: dict[str, list[tuple]] = {"require": [], "filter": [], "sort": [], "json": []}
     fmt: str | None = None
 
     for key, value in query_params:
         if key == "require":
             if not NAME_RE.match(value):
                 raise RefinementSyntaxError(f"bad require field name {value!r}")
-            requires.append(value)
+            step = ("require", value, apply_require, (value,))
         elif key == "filter":
-            filters.append(_parse_filter(value))
+            spec = _parse_filter(value)
+            step = ("filter", spec.field, apply_filter, (spec,))
         elif key == "sort":
             m = _SORT_RE.match(value)
             if not m:
                 raise RefinementSyntaxError(f"bad sort expression {value!r}")
-            sorts.append(SortSpec(order=m.group(1), field=m.group(2)))
+            step = ("sort", m.group(2), apply_sort, (SortSpec(*m.groups()),))
         elif key == "format":
             if value not in ("csv", "json"):
                 raise RefinementSyntaxError(f"bad format {value!r}")
             fmt = value
+            continue
         elif key == "json":
-            json_ops.append(_parse_json_op(value))
+            step = _parse_json_op(value)
         else:
             log.warning("ignoring unknown query parameter %r", key)
+            continue
+        slots[key].append(step)
 
-    return RefinementPlan(
-        requires=tuple(requires),
-        filters=tuple(filters),
-        sorts=tuple(sorts),
-        format=fmt,
-        json_ops=tuple(json_ops),
-    )
+    return RefinementPlan(fmt, tuple(step for steps in slots.values() for step in steps))
 
 
 def _parse_filter(value: str) -> FilterSpec:
@@ -141,25 +130,25 @@ def _parse_filter(value: str) -> FilterSpec:
     return FilterSpec(field=field, operator=None, value=rest)
 
 
-def _parse_json_op(value: str) -> JsonOpSpec:
+def _parse_json_op(value: str) -> tuple:
     m = _JSON_RE.match(value)
     if not m:
         raise RefinementSyntaxError(f"bad json expression {value!r}")
     op, separator, tail = m.group(1), m.group(2), m.group(3)
-    names = [name.strip() for name in tail.split(",")]
-    if not all(NAME_RE.match(name) for name in names):
+    field, *keys = [name.strip() for name in tail.split(",")]
+    if not all(NAME_RE.match(name) for name in (field, *keys)):
         raise RefinementSyntaxError(f"bad field list in json expression {value!r}")
     if separator == "":
         raise RefinementSyntaxError("json separator must be non-empty")
     if op == "array":
-        if len(names) != 1:
+        if keys:
             raise RefinementSyntaxError("json array takes exactly one field")
-        return JsonOpSpec(op=op, separator=separator, field=names[0])
-    if len(names) < 2:
+        return ("json array", field, apply_json_array, (separator, field))
+    if not keys:
         raise RefinementSyntaxError("json dict needs a field and at least one key")
-    return JsonOpSpec(
-        op=op, separator=separator, field=names[0], new_fields=tuple(names[1:])
-    )
+    if len(set(keys)) != len(keys):
+        raise RefinementSyntaxError(f"json dict keys must be distinct in {value!r}")
+    return ("json dict", field, apply_json_dict, (separator, field, tuple(keys)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,41 +246,30 @@ def _reshape(table: ResultTable, field: str, op: str, split, each_element=False)
 # ---------------------------------------------------------------------------
 
 def format_from_accept(accept_header: str | None) -> str | None:
-    """Map an Accept header to csv/json; None when nothing recognized."""
-    if not accept_header:
-        return None
-    for item in accept_header.split(","):
+    """Map an Accept header to csv/json; None when nothing recognized.
+
+    The first recognized range wins; one weighted ``q=0`` is not acceptable.
+    """
+    for item in (accept_header or "").split(","):
         media_type = item.split(";", 1)[0].strip().lower()
-        if media_type == CSV_MEDIA_TYPE:
-            return "csv"
-        if media_type == JSON_MEDIA_TYPE:
-            return "json"
+        if media_type in _ACCEPT_FORMATS and not _zero_weight(item):
+            return _ACCEPT_FORMATS[media_type]
     return None
 
 
 def apply_plan(
     table: ResultTable, plan: RefinementPlan, accept_header: str | None = None
 ) -> tuple[str, str]:
-    """Run a plan in the fixed kind order; returns (content type, body).
+    """Run a plan's steps in order; returns (content type, body).
 
     A refinement on a field the table lacks is skipped with a warning here,
     so each ``apply_*`` step may take its field as present.
     """
     fmt = plan.format or format_from_accept(accept_header) or "json"
-    if plan.json_ops and fmt == "csv":
+    if fmt == "csv" and any(kind.startswith("json") for kind, *_ in plan.steps):
         raise RefinementError("json refinements need the json format")
 
-    # (kind, field, step, step arguments after the table), in execution order.
-    steps = [("require", field, apply_require, (field,)) for field in plan.requires]
-    steps += [("filter", spec.field, apply_filter, (spec,)) for spec in plan.filters]
-    steps += [("sort", spec.field, apply_sort, (spec,)) for spec in plan.sorts]
-    for op in plan.json_ops:
-        if op.op == "array":
-            steps.append(("json array", op.field, apply_json_array, (op.separator, op.field)))
-        else:
-            args = (op.separator, op.field, op.new_fields)
-            steps.append(("json dict", op.field, apply_json_dict, args))
-    for kind, field, step, args in steps:
+    for kind, field, step, args in plan.steps:
         if field in table.header:
             table = step(table, *args)
         else:

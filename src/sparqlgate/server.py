@@ -1,10 +1,12 @@
 """HTTP surface: dashboard at /, documentation per api base, operations under it.
 
 The handler works on the raw request target, so percent-encoded slashes in
-parameter values never gain path meaning. Operation calls and unmatched
-paths go through ``ApiManager.call``, which records them in the call
-statistics; dashboard and documentation page views do not, so reading the
-dashboard never changes what it shows.
+parameter values never gain path meaning; an absolute-form target
+(``http://host/path?query``, RFC 9112 §3.2.2) is cut to its path and query,
+still encoded. Operation calls and unmatched paths go through
+``ApiManager.call``, which records them in the call statistics; dashboard
+and documentation page views do not, so reading the dashboard never
+changes what it shows.
 
 ``BaseHandler`` is the HTTP side of the gateway and the testkit mock alike:
 one request-body framing path (413 above ``MAX_BODY_BYTES``), one socket
@@ -22,6 +24,7 @@ stopping it also cuts the keep-alive connections it still serves.
 from __future__ import annotations
 
 import logging
+import re
 import socket
 import threading
 from contextlib import suppress
@@ -37,6 +40,7 @@ HTML_MEDIA_TYPE = "text/html; charset=utf-8"
 MAX_BODY_BYTES = 1 << 20  # larger request bodies get 413 and are never read
 # A connection idle this long, between requests or inside a body, is closed.
 HANDLER_TIMEOUT_S = 30.0
+_ABSOLUTE_FORM = re.compile(r"https?://[^/?]*", re.IGNORECASE)
 
 
 class BaseHandler(BaseHTTPRequestHandler):
@@ -97,7 +101,10 @@ class _Handler(BaseHandler):
         # Operations read only the URL; the request body is ignored.
         gateway: GatewayServer = self.server  # type: ignore[assignment]
         manager = gateway.manager
-        path, _, _query = self.path.partition("?")
+        target = self.path
+        if absolute := _ABSOLUTE_FORM.match(target):
+            target = "/" + target[absolute.end():].removeprefix("/")
+        path, _, _query = target.partition("?")
 
         if path in ("", "/") and method == "get":
             page = render_dashboard(manager.stats, manager.documents, gateway.css)
@@ -111,7 +118,7 @@ class _Handler(BaseHandler):
             return
 
         accept = self.headers.get("Accept")
-        outcome, _, _ = manager.call(self.path, method, accept)
+        outcome, _, _ = manager.call(target, method, accept)
         self._send(outcome.status, outcome.body, f"{outcome.content_type}; charset=utf-8")
 
 

@@ -176,6 +176,13 @@ def test_validate_chains_requires_registered_names():
         "preprocess function 'lowr' of operation '/api/v1/citations/{doi}' "
         "is not registered (block 2, field #preprocess)"
     )
+    doc = parse_document(config.replace("lower(doi)", "lower(doi)\n#postprocess tidy()", 1))
+    with pytest.raises(UnknownFunctionError) as caught:
+        registry.validate_chains(doc.api.url, doc.operations[0])
+    assert str(caught.value) == (
+        "postprocess function 'tidy' of operation '/api/v1/citations/{doi}' "
+        "is not registered (block 2, field #postprocess)"
+    )
     registry.validate_chains(doc.api.url, doc.operations[2])  # no chains, nothing to check
 
 

@@ -15,7 +15,6 @@ from sparqlgate.refine import (
     CSV_MEDIA_TYPE,
     JSON_MEDIA_TYPE,
     FilterSpec,
-    JsonOpSpec,
     SortSpec,
     apply_filter,
     apply_json_array,
@@ -55,29 +54,39 @@ INFO = _table(
 def test_parse_collects_each_kind_in_url_order():
     plan = parse_refinements(
         (
+            ("json", 'dict("/", citing, prefix, suffix)'),
             ("sort", "asc(citing)"),
             ("filter", "creation:^20.+"),
+            ("json", 'array("/", cited)'),
             ("require", "creation"),
+            ("sort", "desc(creation)"),
+            ("json", 'dict("0", cited, one, two)'),
             ("filter", "creation:>2016-05"),
             ("format", "csv"),
-            ("json", 'array("/", cited)'),
+            ("require", "citing"),
+            ("json", 'array("|", x)'),
         )
     )
-    assert plan.requires == ("creation",)
-    assert plan.filters == (
-        FilterSpec("creation", None, "^20.+"),
-        FilterSpec("creation", ">", "2016-05"),
-    )
-    assert plan.sorts == (SortSpec("asc", "citing"),)
     assert plan.format == "csv"
-    assert plan.json_ops == (JsonOpSpec("array", "/", "cited"),)
+    assert plan.steps == (
+        ("require", "creation", apply_require, ("creation",)),
+        ("require", "citing", apply_require, ("citing",)),
+        ("filter", "creation", apply_filter, (FilterSpec("creation", None, "^20.+"),)),
+        ("filter", "creation", apply_filter, (FilterSpec("creation", ">", "2016-05"),)),
+        ("sort", "citing", apply_sort, (SortSpec("asc", "citing"),)),
+        ("sort", "creation", apply_sort, (SortSpec("desc", "creation"),)),
+        # json array and json dict share one slot, so they keep their URL order.
+        ("json dict", "citing", apply_json_dict, ("/", "citing", ("prefix", "suffix"))),
+        ("json array", "cited", apply_json_array, ("/", "cited")),
+        ("json dict", "cited", apply_json_dict, ("0", "cited", ("one", "two"))),
+        ("json array", "x", apply_json_array, ("|", "x")),
+    )
 
 
 def test_parse_json_dict_shapes():
-    plan = parse_refinements((("json", 'dict("/", citing, prefix, suffix)'),))
-    assert plan.json_ops == (JsonOpSpec("dict", "/", "citing", ("prefix", "suffix")),)
-    nested = parse_refinements((("json", 'dict("0", cited, one, two)'),))
-    assert nested.json_ops[0].separator == "0"
+    plan = parse_refinements((("json", 'dict("0", cited , one,two )'),))
+    step = ("json dict", "cited", apply_json_dict, ("0", "cited", ("one", "two")))
+    assert plan.steps == (step,)
 
 
 def test_last_format_wins():
@@ -88,7 +97,7 @@ def test_last_format_wins():
 def test_unknown_keys_are_ignored_with_a_warning(caplog):
     with caplog.at_level("WARNING"):
         plan = parse_refinements((("page", "2"), ("require", "citing")))
-    assert plan.requires == ("citing",)
+    assert plan.steps == (("require", "citing", apply_require, ("citing",)),)
     assert any("page" in r.message for r in caplog.records)
 
 
@@ -106,6 +115,8 @@ def test_malformed_refinements_raise_syntax_errors():
         ("json", 'array("/", a, b)'),
         ("json", 'dict("/", onlyfield)'),
         ("json", 'dict("/", citing, bad name)'),
+        ("json", 'dict("/", citing, a, a)'),
+        ("json", 'dict("/", citing, a, b, a)'),
     )
     for pair in bad:
         with pytest.raises(RefinementSyntaxError):
@@ -114,9 +125,9 @@ def test_malformed_refinements_raise_syntax_errors():
 
 def test_filter_value_may_contain_colons_and_operators():
     plan = parse_refinements((("filter", "when:>2016-05-01T13:00"),))
-    assert plan.filters == (FilterSpec("when", ">", "2016-05-01T13:00"),)
+    assert plan.steps[0][3] == (FilterSpec("when", ">", "2016-05-01T13:00"),)
     regex = parse_refinements((("filter", "citing:10[.]3233"),))
-    assert regex.filters[0].operator is None
+    assert regex.steps[0][3] == (FilterSpec("citing", None, "10[.]3233"),)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +398,13 @@ def test_format_from_accept_parses_lists_and_parameters():
     assert format_from_accept("application/xml, application/json") == "json"
     assert format_from_accept("*/*") is None
     assert format_from_accept(None) is None
+    # q=0 means "not acceptable": the range is skipped, the next one decides.
+    assert format_from_accept("text/csv;q=0, application/json") == "json"
+    assert format_from_accept("text/csv; Q=0.0, application/json;q=0.5") == "json"
+    assert format_from_accept("application/json;q=0.00,text/csv") == "csv"
+    assert format_from_accept("text/csv;q=0.000;level=1, text/csv") == "csv"
+    assert format_from_accept("text/csv;q=0.001") == "csv"
+    assert format_from_accept("text/csv;q=0") is None
 
 
 def test_json_reshaping_under_csv_format_is_an_error(monkeypatch):

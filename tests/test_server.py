@@ -101,6 +101,25 @@ def test_encoded_slash_is_equivalent_to_a_literal_one(live):
     assert encoded.body == plain.body
 
 
+def test_absolute_form_targets_are_served_like_origin_form(live):
+    # RFC 9112 §3.2.2: a server must accept "GET http://host/path HTTP/1.1".
+    server, _ = live
+    authority = server.url.removeprefix("http://").encode()
+
+    def reply(target: bytes) -> tuple[bytes, bytes]:
+        raw = b"GET " + target + b" HTTP/1.1\r\nHost: elsewhere\r\n\r\n"
+        head, _, body = _exchange(server, raw).partition(b"\r\n\r\n")
+        return head.split()[1], body
+
+    for path in (b"/api/v1/citations/10.1108%2Fjd-12-2013-0166?format=csv", b"/api/v1"):
+        assert reply(b"http://" + authority + path) == reply(path)
+        assert reply(path)[0] == b"200"
+    for target in (b"http://" + authority, b"HTTP://" + authority + b"?x=1"):
+        status, body = reply(target)
+        assert status == b"200"
+        assert b"API dashboard" in body
+
+
 def test_error_statuses_and_bodies_over_http(live):
     server, _ = live
     missing = fetch(server.url + "/api/v1/nothing")
