@@ -1,11 +1,19 @@
 """SPARQL 1.1 protocol client and results parser.
 
 One canonical wire path: the query travels as the ``query`` parameter (GET)
-or form field (POST), and the response body is always read as UTF-8
-SPARQL-results JSON, whatever media type or charset the endpoint reports.
-The parsed form is a ResultTable — ordered header, per-variable value
-types, and ordered rows of cells — which is the single intermediate
-representation the rest of the pipeline works on.
+or form field (POST), and the response body is always read as UTF-8,
+whatever charset the endpoint reports. The client asks for SPARQL 1.1
+results CSV (W3C Recommendation "SPARQL 1.1 Query Results CSV and TSV
+Formats") first and SPARQL-results JSON second (``ACCEPT``), and the
+media type of the answer picks the parser: a ``text/csv`` body is read with
+``csv.reader``, and any other body as results JSON, so an endpoint that
+ignores ``Accept`` still works. The parsed form is a ResultTable — ordered
+header, per-variable value types, and ordered rows of cells — which is the
+single intermediate representation the rest of the pipeline works on.
+
+Both formats give each binding's lexical value and nothing else. An unbound
+variable and an empty literal both read as ``""``. A blank node reads
+``_:label`` from CSV, which writes it so, and ``label`` from JSON.
 
 This module owns all upstream I/O, on ``http.client`` alone: every call on
 every surface goes through its one connection pool and its ``TIMEOUT``, so
@@ -16,10 +24,16 @@ HTTP server runs one thread per client connection; connections kept per
 thread would be left open when those threads end. A pooled connection that
 the endpoint closed while it sat idle fails before any response byte; the
 call is then sent once more on a fresh connection. Redirects are not
-followed, and bodies larger than ``MAX_RESPONSE_BYTES`` are refused.
+followed, and bodies larger than ``MAX_RESPONSE_BYTES`` are refused, or
+than ``MAX_CSV_RESPONSE_BYTES`` for a ``text/csv`` body, which holds more
+rows in a byte.
 
-Results are decoded one solution at a time. ``parse_results`` reads the
-top-level object and ``results`` member by member, and each solution in
+``csv.field_size_limit`` is process-wide. Importing this module raises it
+to at least ``MAX_RESPONSE_BYTES`` and never lowers it, so that any field
+of a body the client accepts can be read.
+
+JSON results are decoded one solution at a time. ``parse_results`` reads
+the top-level object and ``results`` member by member, and each solution in
 ``bindings`` is decoded on its own, turned into its row and dropped. So a
 call holds the body, the rows and the binding objects of one solution, not
 the whole decoded document; it still rejects what ``json.loads`` rejects.
@@ -32,7 +46,9 @@ responsibility worth stating loudly.
 
 from __future__ import annotations
 
+import csv
 import http.client
+import io
 import json
 import re
 import urllib.parse
@@ -43,12 +59,20 @@ from .config import SLOT_RE
 from .errors import EndpointStatusError, EndpointUnreachableError, ResultParseError
 
 RESULTS_JSON = "application/sparql-results+json"
+RESULTS_CSV = "text/csv"
+# What dispatch asks for: CSV, the lighter format to parse, else JSON.
+ACCEPT = f"{RESULTS_CSV}, {RESULTS_JSON};q=0.9"
 TIMEOUT = 30.0  # seconds per upstream query, to connect and to answer alike
-# 4.5 times the largest body the benchmark serves (7.1 MB, a 20k-row table).
-# Decoding, parsing and writing that table as JSON peaks at 22 MB under
-# tracemalloc, about 3 times the body (59 MB, 8.4 times, when the whole
-# document was decoded at once), so one call at the cap stays near 100 MB.
+# Memory follows rows, not bytes. A CSV body carries about 5 times the rows
+# of a JSON body of its size, and decoding, parsing and writing the call's
+# JSON output peaks under tracemalloc at 15.6 times a CSV body and 3.1 times
+# a JSON one. So a CSV body is capped at a fifth of a JSON one, and one call
+# at either cap peaks near 100 MB (measured on about 95k of the benchmark's
+# 7-column rows: 102 MB from a 33.2 MB JSON body, 103 MB from a 6.6 MB CSV one).
 MAX_RESPONSE_BYTES = 32 << 20
+MAX_CSV_RESPONSE_BYTES = MAX_RESPONSE_BYTES // 5
+# A field is never longer than its body: lift csv's default cap of 131072.
+csv.field_size_limit(max(csv.field_size_limit(), MAX_RESPONSE_BYTES))
 
 # json.loads's own decoder, which can start at any index of a document.
 _decode = json.JSONDecoder().raw_decode
@@ -94,7 +118,7 @@ def substitute(template: str, bindings: Mapping[str, str]) -> str:
 def dispatch(endpoint: str, query: str, method: str = "get") -> tuple[int, str, str]:
     """Send one query to the endpoint; returns (status, media type, body)."""
     form = urllib.parse.urlencode({"query": query})
-    headers = {"Accept": RESULTS_JSON}
+    headers = {"Accept": ACCEPT}
     try:
         url = urllib.parse.urlsplit(endpoint)  # an http(s) URL, checked at load time
         origin = (url.scheme, url.hostname, url.port)  # a None port means the default
@@ -134,14 +158,16 @@ def _exchange(origin, method, target, body, headers) -> tuple[int, str, bytes]:
         opener = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
         connection = opener(host, port, timeout=TIMEOUT)
         response = _send(connection, method, target, body, headers)
+    media = response.getheader("Content-Type", "")
+    cap = MAX_CSV_RESPONSE_BYTES if _is_csv(media) else MAX_RESPONSE_BYTES
     try:
         size = response.length
-        if size is None or size <= MAX_RESPONSE_BYTES:
+        if size is None or size <= cap:
             # Without a Content-Length (chunked or close-delimited), stop one byte past the cap.
-            payload = response.read(MAX_RESPONSE_BYTES + 1 if size is None else None)
+            payload = response.read(cap + 1 if size is None else None)
             size = len(payload)
-        if size > MAX_RESPONSE_BYTES:
-            raise ResultParseError(f"SPARQL results body exceeds {MAX_RESPONSE_BYTES} bytes")
+        if size > cap:
+            raise ResultParseError(f"SPARQL results body exceeds {cap} bytes")
     except BaseException:
         connection.close()
         raise
@@ -149,7 +175,7 @@ def _exchange(origin, method, target, body, headers) -> tuple[int, str, bytes]:
         connection.close()
     else:
         idle.append(connection)
-    return response.status, response.getheader("Content-Type", ""), payload
+    return response.status, media, payload
 
 
 def _send(connection, method, target, body, headers) -> http.client.HTTPResponse:
@@ -162,15 +188,64 @@ def _send(connection, method, target, body, headers) -> http.client.HTTPResponse
 
 
 def parse_results(
-    body: str, field_types: Mapping[str, str] | None = None
+    body: str,
+    media_type: str = RESULTS_JSON,
+    field_types: Mapping[str, str] | None = None,
 ) -> ResultTable:
-    """Parse a SPARQL-results JSON document into a ResultTable.
+    """Parse a SPARQL results body of the given media type into a ResultTable.
 
-    Header order is the endpoint-reported variable order; every solution
-    becomes one row, with unbound variables as empty-text cells; solution
-    order and count are preserved. What ``json.loads`` or the checks here
-    reject is a ResultParseError.
+    A ``text/csv`` body (parameters and case ignored) is SPARQL 1.1 results
+    CSV; any other is SPARQL-results JSON. Header order is the
+    endpoint-reported variable order; every solution becomes one row, with
+    unbound variables as empty-text cells; solution order and count are
+    preserved. A body the format's reader or the checks here reject is a
+    ResultParseError.
     """
+    if _is_csv(media_type):
+        header, rows = _csv_rows(body)
+    else:
+        header, rows = _json_rows(body)
+    declared = field_types or {}
+    types = {variable: declared.get(variable, "str") for variable in header}
+    return ResultTable(header=header, types=types, rows=rows)
+
+
+def _is_csv(media_type: str) -> bool:
+    """Whether a media type is ``text/csv``, parameters and case ignored."""
+    return media_type.partition(";")[0].strip().lower() == RESULTS_CSV
+
+
+def _csv_rows(body: str) -> tuple[tuple[str, ...], list[dict[str, Cell]]]:
+    """The header and rows of a results CSV body, read by ``csv.reader``.
+
+    Every record after the header has one field per variable. The one
+    exception is an empty line under a one-variable header: it is one
+    unbound (or empty) cell, as the CSV Recommendation writes that row.
+    """
+    if not body:
+        raise ResultParseError("malformed SPARQL results document: empty CSV body")
+    records = csv.reader(io.StringIO(body, newline=""), strict=True)
+    rows: list[dict[str, Cell]] = []
+    try:
+        header = tuple(next(records))  # a body that is not empty has a first line
+        for number, fields in enumerate(records, 1):
+            if len(fields) != len(header):
+                if fields or len(header) != 1:
+                    raise ResultParseError(
+                        f"malformed SPARQL results document: CSV row {number} has "
+                        f"{len(fields)} fields, the header {len(header)}"
+                    )
+                fields = [""]
+            rows.append(dict(zip(header, fields)))
+    except csv.Error as exc:
+        raise ResultParseError(
+            f"malformed SPARQL results document: CSV line {records.line_num}: {exc}"
+        ) from None
+    return header, rows
+
+
+def _json_rows(body: str) -> tuple[tuple[str, ...], list[dict[str, Cell]]]:
+    """The header and rows of a results JSON document, read by ``_walk``."""
     try:
         document = _walk(body)
         header = _header(document["head"])
@@ -183,9 +258,7 @@ def parse_results(
         solutions = _Solutions(body, solutions.start, header)
     if solutions.error is not None:
         raise ResultParseError(solutions.error)
-    declared = field_types or {}
-    types = {variable: declared.get(variable, "str") for variable in header}
-    return ResultTable(header=header, types=types, rows=solutions.rows)
+    return header, solutions.rows
 
 
 def _header(head: object) -> tuple[str, ...] | None:

@@ -219,11 +219,9 @@ def execute(
         bindings = run_preprocess(api.registry, operation.preprocess, bindings)
         plan = parse_refinements(request.query_params)
         query = substitute(operation.sparql, bindings)
-        # The upstream text lives only while it is parsed; the rows hold the rest.
-        table = parse_results(
-            dispatch(api.document.api.endpoint, query, operation.method)[2],
-            field_types=operation.field_types,
-        )
+        _, media, body = dispatch(api.document.api.endpoint, query, operation.method)
+        table = parse_results(body, media, field_types=operation.field_types)
+        del body  # the upstream text lives only while it is parsed; the rows hold the rest
         table = run_postprocess(api.registry, operation.postprocess, table)
         content_type, text = apply_plan(table, plan, request.accept_header)
         return CallOutcome(200, text, content_type), operation

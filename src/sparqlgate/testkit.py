@@ -3,14 +3,20 @@
 The mock endpoint speaks just enough of the SPARQL protocol for the
 gateway — query via GET parameter or POSTed form — and answers from an
 ordered rule list (first match wins, unmatched queries get a 400
-diagnostic). Its handler is a ``server.BaseHandler``, so it frames request
-bodies exactly as the gateway does. The fixture builds a three-operation
-configuration over a small citation graph whose first operation returns a
-fixed 2x2 table, so golden outputs are stable down to the byte.
+diagnostic). Each 2xx rule body that is a well-formed SPARQL-results JSON
+document is also converted once to SPARQL 1.1 results CSV, which the mock
+serves when the request's ``Accept`` lists ``text/csv`` before any JSON
+range; every other answer is the rule body as written. Its handler is a
+``server.BaseHandler``, so it frames request bodies exactly as the gateway
+does. The fixture builds a three-operation configuration over a small
+citation graph whose first operation returns a fixed 2x2 table, so golden
+outputs are stable down to the byte.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import re
@@ -19,7 +25,7 @@ import urllib.parse
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .client import RESULTS_JSON as RESULTS_MEDIA_TYPE
+from .client import RESULTS_CSV, RESULTS_JSON as RESULTS_MEDIA_TYPE
 from .server import BackgroundServer, BaseHandler
 
 
@@ -49,6 +55,54 @@ def results_json(
     )
 
 
+# What the CSV Recommendation writes before each kind of term's lexical form.
+_TERM_PREFIX = {"uri": "", "literal": "", "typed-literal": "", "bnode": "_:"}
+
+
+def _as_csv(body: str) -> str | None:
+    """The results CSV of a well-formed results-JSON body; None for any other body,
+    or for one that ``csv.writer`` refuses.
+
+    Literals are written in lexical form, IRIs bare, blank nodes as
+    ``_:label`` and an unbound variable as an empty field, with CRLF line
+    ends and quotes only where a field needs them.
+    """
+    try:
+        document = json.loads(body)
+        variables = document["head"]["vars"]
+        solutions = document["results"]["bindings"]
+        if not isinstance(variables, list) or not isinstance(solutions, list):
+            return None
+        if not all(isinstance(variable, str) for variable in variables):
+            return None
+        records = [[_csv_term(solution.get(v)) for v in variables] for solution in solutions]
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\r\n").writerows([variables, *records])
+    except (ValueError, RecursionError, KeyError, TypeError, AttributeError, csv.Error):
+        return None
+    return text.getvalue()
+
+
+def _csv_term(binding: dict | None) -> str:
+    if binding is None:
+        return ""
+    value = binding["value"]
+    if not isinstance(value, str):
+        raise TypeError("a term value is not text")
+    return _TERM_PREFIX[binding["type"]] + value
+
+
+def _csv_first(accept: str) -> bool:
+    """Whether an Accept header lists text/csv before any JSON media range."""
+    for media_range in accept.split(","):
+        media = media_range.partition(";")[0].strip().lower()
+        if media == RESULTS_CSV:
+            return True
+        if media.endswith("json"):
+            return False
+    return False
+
+
 class _MockHandler(BaseHandler):
     def _handle(self, method: str, body: bytes) -> None:
         _, _, url_form = self.path.partition("?")
@@ -61,8 +115,12 @@ class _MockHandler(BaseHandler):
         endpoint.record(query)
         for rule in endpoint.rules:
             if _rule_matches(rule.match, query):
-                media = RESULTS_MEDIA_TYPE if rule.status < 300 else "application/json"
-                self._send(rule.status, rule.body, media)
+                csv_body = endpoint.csv_bodies.get(rule)
+                if csv_body is not None and _csv_first(self.headers.get("Accept", "")):
+                    self._send(rule.status, csv_body, RESULTS_CSV + "; charset=utf-8")
+                else:
+                    media = RESULTS_MEDIA_TYPE if rule.status < 300 else "application/json"
+                    self._send(rule.status, rule.body, media)
                 return
         diagnostic = json.dumps({"error": "no rule matches the query", "query": query})
         self._send(400, diagnostic, "application/json")
@@ -75,11 +133,28 @@ def _rule_matches(matcher: str | re.Pattern, query: str) -> bool:
 
 
 class MockSparqlEndpoint(BackgroundServer):
-    """Loopback SPARQL endpoint answering from canned rules."""
+    """Loopback SPARQL endpoint answering from canned rules.
 
-    def __init__(self, rules: Sequence[MockRule], host: str = "127.0.0.1", port: int = 0):
+    With ``serve_csv`` false it answers every request with the rule bodies,
+    as an endpoint that ignores ``Accept`` and speaks only JSON does.
+    """
+
+    def __init__(
+        self,
+        rules: Sequence[MockRule],
+        host: str = "127.0.0.1",
+        port: int = 0,
+        serve_csv: bool = True,
+    ):
         super().__init__((host, port), _MockHandler)
         self.rules = list(rules)
+        self.csv_bodies = {
+            rule: csv_body
+            for rule in self.rules
+            if serve_csv
+            and 200 <= rule.status < 300
+            and (csv_body := _as_csv(rule.body)) is not None
+        }
         self._received: list[str] = []
         self._lock = threading.Lock()
 

@@ -518,9 +518,9 @@ def test_bare_pipeline_matches_direct_composition(gateway, mock_endpoint):
         assert outcome.status == 200
 
         query = substitute(operation.sparql, {"prefix": "10.3233"})
-        status, _, body = dispatch(mock_endpoint.url, query, method="post")
+        status, media, body = dispatch(mock_endpoint.url, query, method="post")
         assert status == 200
         expected = serialize_json(
-            parse_results(body, field_types=operation.field_types)
+            parse_results(body, media, field_types=operation.field_types)
         )
         assert outcome.body == expected

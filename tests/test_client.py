@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import http.client
 import json
 import random
@@ -12,7 +13,7 @@ import tracemalloc
 import pytest
 
 from sparqlgate import client
-from sparqlgate.client import ResultTable, dispatch, parse_results, substitute
+from sparqlgate.client import RESULTS_JSON, ResultTable, dispatch, parse_results, substitute
 from sparqlgate.errors import (
     EndpointStatusError,
     EndpointUnreachableError,
@@ -271,6 +272,84 @@ def test_replaced_shares_header_and_types():
 
 
 # ---------------------------------------------------------------------------
+# SPARQL 1.1 results CSV
+# ---------------------------------------------------------------------------
+
+# (case, body, header, rows): what csv.reader and the width check make of a body.
+CSV_TABLES = [
+    ("header only", "x,y\r\n", ("x", "y"), []),
+    ("no final line end", "x,y\r\n1,2", ("x", "y"), [{"x": "1", "y": "2"}]),
+    (
+        "one column with an unbound row",
+        "x\r\na\r\n\r\nb\r\n",
+        ("x",),
+        [{"x": "a"}, {"x": ""}, {"x": "b"}],
+    ),
+    ("one column, last row unbound", "x\r\n\r\n", ("x",), [{"x": ""}]),
+    (
+        "quoted CR, LF and CRLF",
+        'x,y,z\r\n"a\rb","c\nd","e\r\nf"\r\n',
+        ("x", "y", "z"),
+        [{"x": "a\rb", "y": "c\nd", "z": "e\r\nf"}],
+    ),
+    (
+        "quoted comma and doubled quote",
+        'x,y\r\n"a, b","say ""hi"""\r\n',
+        ("x", "y"),
+        [{"x": "a, b", "y": 'say "hi"'}],
+    ),
+    ("empty fields", "x,y,z\r\n,,\r\n", ("x", "y", "z"), [{"x": "", "y": "", "z": ""}]),
+    ("spaces are kept", "x,y\r\n a , b\r\n", ("x", "y"), [{"x": " a ", "y": " b"}]),
+    ("LF line ends", "x,y\n1,2\n", ("x", "y"), [{"x": "1", "y": "2"}]),
+]
+
+# (case, body, message): each is a ResultParseError with this message.
+CSV_ERRORS = [
+    ("empty body", "", "empty CSV body"),
+    ("a short row", "x,y\r\n1,2\r\n3\r\n", "CSV row 2 has 1 fields, the header 2"),
+    ("a long row", "x,y\r\n1,2,3\r\n", "CSV row 1 has 3 fields, the header 2"),
+    ("a blank line, two variables", "x,y\r\n\r\n1,2\r\n", "CSV row 1 has 0 fields, the header 2"),
+    ("an unterminated quote", 'x\r\n"abc\r\n', "CSV line 2: unexpected end of data"),
+    ("text after a closing quote", 'x\r\n"a"b\r\n', "CSV line 2: ',' expected after '\"'"),
+]
+
+
+@pytest.mark.parametrize(
+    "body, header, rows", [case[1:] for case in CSV_TABLES], ids=[case[0] for case in CSV_TABLES]
+)
+def test_csv_bodies_parse_into_their_tables(body, header, rows):
+    table = parse_results(body, "text/csv", field_types={"x": "int"})
+    assert (table.header, table.rows) == (header, rows)
+    assert table.types == {variable: "int" if variable == "x" else "str" for variable in header}
+
+
+@pytest.mark.parametrize(
+    "body, message", [case[1:] for case in CSV_ERRORS], ids=[case[0] for case in CSV_ERRORS]
+)
+def test_malformed_csv_bodies_are_rejected(body, message):
+    with pytest.raises(ResultParseError) as caught:
+        parse_results(body, "text/csv")
+    assert str(caught.value) == f"malformed SPARQL results document: {message}"
+
+
+@pytest.mark.parametrize(
+    "media",
+    ["text/csv", "text/csv; charset=utf-8", "TEXT/CSV", " Text/Csv ;charset=UTF-8"],
+)
+def test_the_csv_media_type_ignores_case_and_parameters(media):
+    assert parse_results("x\r\n1\r\n", media).rows == [{"x": "1"}]
+
+
+@pytest.mark.parametrize(
+    "media", ["application/sparql-results+json", "text/plain", "text/csv-schema", ""]
+)
+def test_every_other_media_type_is_read_as_json(media):
+    assert parse_results(VALID, media).rows == [{"x": "1"}]
+    with pytest.raises(ResultParseError, match="^malformed SPARQL results document: "):
+        parse_results("x\r\n1\r\n", media)
+
+
+# ---------------------------------------------------------------------------
 # Protocol dispatch (against the mock endpoint)
 # ---------------------------------------------------------------------------
 
@@ -282,8 +361,8 @@ def test_dispatch_get_and_post_carry_the_query_unchanged():
         for method in ("get", "post"):
             status, media, body = dispatch(endpoint.url, query, method)
             assert status == 200
-            assert media.startswith("application/sparql-results+json")
-            assert parse_results(body).rows == [{"s": "ok"}]
+            assert media == "text/csv; charset=utf-8"
+            assert parse_results(body, media).rows == [{"s": "ok"}]
         assert endpoint.received == [query, query]
 
 
@@ -360,6 +439,105 @@ def test_sequential_dispatches_do_not_stall():
 
 
 # ---------------------------------------------------------------------------
+# CSV first, JSON as the fallback
+# ---------------------------------------------------------------------------
+
+
+def test_dispatch_asks_for_csv_then_json_and_an_endpoint_may_answer_either(tmp_path):
+    accepts = []
+
+    class JsonOnly(BaseHandler):
+        """An endpoint that ignores Accept and always answers results JSON."""
+
+        def _handle(self, method: str, body: bytes) -> None:
+            accepts.append(self.headers["Accept"])
+            payload = results_json(("citing", "cited"), CITATION_ROWS).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/sparql-results+json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+    path = "/api/v1/citations/10.1108/jd-12-2013-0166"
+    _, rules = fixture_citations()
+    with start_mock(rules) as endpoint:
+        from_csv, _, _ = ApiManager([fixture_file(tmp_path, endpoint.url, "csv.hf")]).call(path)
+    with BackgroundServer(("127.0.0.1", 0), JsonOnly).start() as endpoint:
+        _, media, body = dispatch(endpoint.url, "SELECT ?citing ?cited")
+        assert media == "application/sparql-results+json"
+        assert parse_results(body, media).rows == list(CITATION_ROWS)
+        from_json, _, _ = ApiManager([fixture_file(tmp_path, endpoint.url, "json.hf")]).call(path)
+    assert accepts == ["text/csv, application/sparql-results+json;q=0.9"] * 2
+    assert from_csv.status == from_json.status == 200
+    assert from_csv.body == from_json.body
+    assert json.loads(from_csv.body) == list(CITATION_ROWS)
+
+
+# Cells the CSV writer must quote, or that a line-based reader would split.
+AWKWARD_CELLS = (
+    "plain", "", None, "a,b", 'say "hi"', '"', ",", "\r", "\n", "\r\n", "x\r\ny\nz\r",
+    "para\u2028graph", "Zürich ☃ 日本", " padded ", "_:b0", "http://example.org/a?b=c,d",
+)
+
+
+def _awkward_table(rng: random.Random, case: int) -> tuple[tuple[str, ...], list[dict]]:
+    width = 1 if case % 4 == 0 else rng.randrange(2, 5)
+    header = tuple(rng.sample(["s", "label", "n", "when", "o"], width))
+    height = 0 if case % 5 == 0 else rng.randrange(1, 9)
+    rows = [{v: rng.choice(AWKWARD_CELLS) for v in header} for _ in range(height)]
+    return header, rows
+
+
+def test_csv_through_the_mock_gives_the_rows_of_the_json_body():
+    rng = random.Random(21)
+    bodies = {f"SELECT {case}": results_json(*_awkward_table(rng, case)) for case in range(200)}
+    rules = [MockRule(query, body) for query, body in bodies.items()]
+    with start_mock(rules) as endpoint:
+        for query, body in bodies.items():
+            _, media, csv_body = dispatch(endpoint.url, query)
+            assert media == "text/csv; charset=utf-8"
+            expected = parse_results(body)
+            got = parse_results(csv_body, media)
+            assert (got.header, got.rows) == (expected.header, expected.rows), body
+    # Every awkward cell (None: unbound), one-column and zero-row tables were met.
+    documents = [json.loads(body) for body in bodies.values()]
+    cells = {
+        solution.get(variable, {}).get("value")
+        for document in documents
+        for solution in document["results"]["bindings"]
+        for variable in document["head"]["vars"]
+    }
+    assert cells == set(AWKWARD_CELLS)
+    assert 1 in {len(document["head"]["vars"]) for document in documents}
+    assert 0 in {len(document["results"]["bindings"]) for document in documents}
+
+
+def test_a_nul_in_a_csv_cell_parses_from_python_3_11_on():
+    # csv.reader refuses NUL before Python 3.11 ("line contains NUL").
+    rows = [{"s": "a\x00b", "o": "c"}]
+    if sys.version_info < (3, 11):
+        with pytest.raises(ResultParseError, match="line contains NUL"):
+            parse_results("s,o\r\na\x00b,c\r\n", "text/csv")
+        return
+    assert parse_results("s,o\r\na\x00b,c\r\n", "text/csv").rows == rows
+    with start_mock([MockRule("SELECT ?s ?o", results_json(("s", "o"), rows))]) as endpoint:
+        _, media, body = dispatch(endpoint.url, "SELECT ?s ?o")
+    assert media == "text/csv; charset=utf-8"
+    assert parse_results(body, media).rows == rows
+
+
+def test_a_cell_beyond_the_csv_default_field_limit_parses_as_in_json():
+    # csv's default limit is 131072 characters a field; the client lifts it.
+    assert csv.field_size_limit() >= client.MAX_RESPONSE_BYTES
+    rows = [{"s": "x" * 200_000, "o": "short"}, {"s": "y", "o": '"q", ' * 40_000}]
+    body = results_json(("s", "o"), rows)
+    with start_mock([MockRule("SELECT ?s ?o", body)]) as endpoint:
+        _, media, csv_body = dispatch(endpoint.url, "SELECT ?s ?o")
+    assert media == "text/csv; charset=utf-8"
+    assert parse_results(csv_body, media).rows == parse_results(body).rows == rows
+
+
+# ---------------------------------------------------------------------------
 # The upstream connection pool
 # ---------------------------------------------------------------------------
 
@@ -398,7 +576,8 @@ def test_threads_share_the_pooled_connections(pool):
 
         def caller():
             for _ in range(25):
-                answers.append(parse_results(dispatch(endpoint.url, "SELECT ?s")[2]).rows)
+                _, media, body = dispatch(endpoint.url, "SELECT ?s")
+                answers.append(parse_results(body, media).rows)
 
         threads = [threading.Thread(target=caller) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -456,8 +635,8 @@ class _DroppingHandler(_ClosingHandler):
 def test_a_closed_connection_is_replaced(pool, handler):
     with CountingMock(OK_RULES, handler).start() as endpoint:
         for _ in range(3):
-            _, _, body = dispatch(endpoint.url, "SELECT ?s")
-            assert parse_results(body).rows == [{"s": "ok"}]
+            _, media, body = dispatch(endpoint.url, "SELECT ?s")
+            assert parse_results(body, media).rows == [{"s": "ok"}]
         assert endpoint.connections == 3
     # Announced closes are never pooled; silent ones are, until their next use.
     assert sum(map(len, pool.values())) == (0 if handler is _ClosingHandler else 1)
@@ -527,6 +706,32 @@ def test_an_oversized_content_length_is_a_500_without_reading_the_body(
         "status": 500,
     }
     assert pool == {("http", "127.0.0.1", endpoint.server_address[1]): []}
+
+
+def test_a_csv_body_is_capped_at_a_fifth_of_a_json_body(pool, monkeypatch):
+    # A CSV body holds about 5 times the rows of a JSON body in a byte.
+    assert client.MAX_CSV_RESPONSE_BYTES == client.MAX_RESPONSE_BYTES // 5
+    monkeypatch.setattr(client, "MAX_RESPONSE_BYTES", 1000)
+    monkeypatch.setattr(client, "MAX_CSV_RESPONSE_BYTES", 200)
+    head = b"HTTP/1.1 200 OK\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n"
+    csv_rows = b"s\r\n" + b"ok\r\n" * 49
+    json_rows = results_json(("s",), [{"s": "ok"}] * 10).encode()
+    assert (len(csv_rows), 200 < len(json_rows) <= 1000) == (199, True)
+    cases = [
+        (b"text/csv", csv_rows, 49),
+        (b"text/csv", csv_rows + b"ok", "exceeds 200 bytes"),
+        (b"Text/CSV; charset=utf-8", csv_rows + b"ok", "exceeds 200 bytes"),
+        (RESULTS_JSON.encode(), json_rows, 10),
+        (RESULTS_JSON.encode(), json_rows.ljust(1001), "exceeds 1000 bytes"),
+    ]
+    for media, body, expected in cases:
+        with _serve_raw(head % (media, len(body)) + body) as endpoint:
+            if isinstance(expected, str):
+                with pytest.raises(ResultParseError, match=expected):
+                    dispatch(endpoint.url, "SELECT ?s")
+            else:
+                _, got, text = dispatch(endpoint.url, "SELECT ?s")
+                assert parse_results(text, got).rows == [{"s": "ok"}] * expected
 
 
 def test_a_close_delimited_body_is_read_to_the_cap_plus_one_byte(pool, monkeypatch):

@@ -311,8 +311,8 @@ def test_noop_call_is_exactly_the_serialized_parse(wired, mock_endpoint):
     doc, routes, registry = wired
     operation = doc.operations[2]
     query = substitute(operation.sparql, {"prefix": "10.3233"})
-    _, _, upstream = dispatch(mock_endpoint.url, query, "post")
-    expected = serialize_json(parse_results(upstream, field_types=operation.field_types))
+    _, media, upstream = dispatch(mock_endpoint.url, query, "post")
+    expected = serialize_json(parse_results(upstream, media, field_types=operation.field_types))
 
     outcome = _call(wired, "/api/v1/stats/10.3233", method="post")
     assert outcome.status == 200
