@@ -32,12 +32,6 @@ rows in a byte.
 to at least ``MAX_RESPONSE_BYTES`` and never lowers it, so that any field
 of a body the client accepts can be read.
 
-JSON results are decoded one solution at a time. ``parse_results`` reads
-the top-level object and ``results`` member by member, and each solution in
-``bindings`` is decoded on its own, turned into its row and dropped. So a
-call holds the body, the rows and the binding objects of one solution, not
-the whole decoded document; it still rejects what ``json.loads`` rejects.
-
 Substitution into query templates is a raw text splice over the slots that
 ``config.SLOT_RE`` finds at load time: the parameter's shape pattern is the
 only injection guard, which makes shape patterns a config-author
@@ -50,7 +44,6 @@ import csv
 import http.client
 import io
 import json
-import re
 import urllib.parse
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -63,21 +56,17 @@ RESULTS_CSV = "text/csv"
 # What dispatch asks for: CSV, the lighter format to parse, else JSON.
 ACCEPT = f"{RESULTS_CSV}, {RESULTS_JSON};q=0.9"
 TIMEOUT = 30.0  # seconds per upstream query, to connect and to answer alike
-# Memory follows rows, not bytes. A CSV body carries about 5 times the rows
-# of a JSON body of its size, and decoding, parsing and writing the call's
-# JSON output peaks under tracemalloc at 15.6 times a CSV body and 3.1 times
-# a JSON one. So a CSV body is capped at a fifth of a JSON one, and one call
-# at either cap peaks near 100 MB (measured on about 95k of the benchmark's
-# 7-column rows: 102 MB from a 33.2 MB JSON body, 103 MB from a 6.6 MB CSV one).
-MAX_RESPONSE_BYTES = 32 << 20
-MAX_CSV_RESPONSE_BYTES = MAX_RESPONSE_BYTES // 5
+# Memory follows rows, not bytes, and each cap keeps one call near 100 MB.
+# Decoding a body, parsing it, dropping the text and writing the call's JSON
+# output peaks under tracemalloc at 8.4 times a JSON body (json.loads holds the
+# whole document beside the text) and 15.6 times a CSV one, which carries about
+# 5 times the rows in a byte. Measured on 40k of the benchmark's 7-column rows:
+# 119 MB from the 14.1 MB JSON body, 44 MB from the 2.8 MB CSV one. At the caps,
+# 35.5k such rows of JSON peak at 105 MB and 95k rows of CSV at 103 MB.
+MAX_RESPONSE_BYTES = 12 << 20
+MAX_CSV_RESPONSE_BYTES = 6_710_886
 # A field is never longer than its body: lift csv's default cap of 131072.
 csv.field_size_limit(max(csv.field_size_limit(), MAX_RESPONSE_BYTES))
-
-# json.loads's own decoder, which can start at any index of a document.
-_decode = json.JSONDecoder().raw_decode
-_space = re.compile(r"[ \t\n\r]*").match  # RFC 8259 whitespace
-_token = re.compile(r"[ \t\n\r]*([,:\]}]?)[ \t\n\r]*").match  # a delimiter, if any
 
 # Idle keep-alive connections per origin (scheme, host, port). dict.setdefault,
 # list.pop and list.append are each atomic, so threads share them without a lock.
@@ -245,84 +234,17 @@ def _csv_rows(body: str) -> tuple[tuple[str, ...], list[dict[str, Cell]]]:
 
 
 def _json_rows(body: str) -> tuple[tuple[str, ...], list[dict[str, Cell]]]:
-    """The header and rows of a results JSON document, read by ``_walk``."""
+    """The header and rows of a results JSON document, read by ``json.loads``."""
     try:
-        document = _walk(body)
-        header = _header(document["head"])
+        document = json.loads(body)
+        variables = document["head"]["vars"]
         solutions = document["results"]["bindings"]
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ResultParseError(f"malformed SPARQL results document: {exc}") from None
-    if header is None or not isinstance(solutions, _Solutions):
+    if not isinstance(variables, list) or not isinstance(solutions, list):
         raise ResultParseError("malformed SPARQL results document: bad head/results")
-    if solutions.header != header:  # the head came after the bindings, or came again
-        solutions = _Solutions(body, solutions.start, header)
-    if solutions.error is not None:
-        raise ResultParseError(solutions.error)
-    return header, solutions.rows
-
-
-def _header(head: object) -> tuple[str, ...] | None:
-    variables = head.get("vars") if isinstance(head, dict) else None
-    return tuple(str(v) for v in variables) if isinstance(variables, list) else None
-
-
-def _walk(body: str) -> object:
-    """``json.loads(body)``, reading the top-level object and ``results`` by
-    hand: an array at results.bindings becomes _Solutions."""
-    document: dict = {}
-
-    def top(key: str, i: int) -> tuple[object, int]:
-        if key == "results" and body.startswith("{", i):
-            return _object(body, i, {}, results)
-        return _decode(body, i)
-
-    def results(key: str, i: int) -> tuple[object, int]:
-        if key == "bindings" and body.startswith("[", i):
-            solutions = _Solutions(body, i, _header(document.get("head")))
-            return solutions, solutions.end
-        return _decode(body, i)
-
-    i = _space(body).end()
-    value, i = _object(body, i, document, top) if body.startswith("{", i) else _decode(body, i)
-    if _space(body, i).end() != len(body):
-        raise json.JSONDecodeError("Extra data", body, i)
-    return value
-
-
-def _object(body: str, i: int, members: dict, value) -> tuple[dict, int]:
-    """Read the object at body[i] into members; value(key, j) reads the member value at j."""
-    token, expected = _token(body, i + 1), ""
-    while token[1] != "}":
-        key, i = _decode(body, token.end())
-        colon = _token(body, i)
-        if token[1] != expected or not isinstance(key, str) or colon[1] != ":":
-            raise json.JSONDecodeError("Expecting ',' and a property name", body, token.end())
-        members[key], i = value(key, colon.end())  # the last one wins, as in json.loads
-        token, expected = _token(body, i), ","
-    return members, token.end()
-
-
-class _Solutions:
-    """The bindings array at body[start], read one solution at a time: each
-    becomes its row under header and is dropped. A bad one is kept as the
-    error, not raised, as a later member may replace the head or the bindings."""
-
-    def __init__(self, body: str, start: int, header: tuple[str, ...] | None):
-        self.start, self.header = start, header
-        self.error: str | None = None
-        self.rows: list[dict[str, Cell]] = []
-        token, expected = _token(body, start + 1), ""
-        while token[1] != "]":
-            if token[1] != expected:
-                raise json.JSONDecodeError("Expecting ',' delimiter", body, token.start(1))
-            solution, i = _decode(body, token.end())
-            if header is not None:
-                try:
-                    self.rows.append(_row(solution, header))
-                except ResultParseError as exc:
-                    self.error, header = str(exc), None
-            token, expected = _token(body, i), ","
-        self.end = token.end()
+    header = tuple(str(v) for v in variables)
+    return header, [_row(solution, header) for solution in solutions]
 
 
 def _row(solution: object, header: tuple[str, ...]) -> dict[str, Cell]:

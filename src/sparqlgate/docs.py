@@ -232,7 +232,7 @@ def _render_operation(api: ApiSpec, operation: OperationSpec) -> str:
 def _pretty_json(text: str) -> str:
     try:
         pretty = json.dumps(json.loads(text), ensure_ascii=False, indent=2)
-    except ValueError:
+    except (ValueError, RecursionError):  # not JSON, or nested too deep to read or write
         pretty = text
     return html.escape(pretty)
 

@@ -20,11 +20,13 @@ from sparqlgate.errors import (
     ResultParseError,
 )
 from sparqlgate.manager import ApiManager
+from sparqlgate.refine import serialize_json
 from sparqlgate.server import BackgroundServer, BaseHandler, serve
 from sparqlgate.testkit import (
     CITATION_ROWS,
     MockRule,
     MockSparqlEndpoint,
+    _as_csv,
     _MockHandler,
     fixture_citations,
     fixture_file,
@@ -236,7 +238,7 @@ def test_a_repeated_member_counts_once_and_the_last_one_wins():
         assert parse_results(body).rows == _reference_rows(body)[1] == expected, body
 
 
-def test_parsing_holds_the_bindings_of_one_solution_at_a_time():
+def test_one_call_at_either_cap_peaks_near_100_mb():
     header = ("s", "label", "n", "score", "span", "created", "tags")
     rows = [
         {
@@ -251,15 +253,21 @@ def test_parsing_holds_the_bindings_of_one_solution_at_a_time():
         for i in range(1000)
     ]
     body = results_json(header, rows)
-    tracemalloc.start()
-    try:
-        table = parse_results(body)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(table.rows) == 1000
-    # json.loads would hold every binding object at once: about 5 times the body.
-    assert peak - retained < 0.5 * len(body)
+    bodies = [
+        (RESULTS_JSON, body.encode(), client.MAX_RESPONSE_BYTES),
+        ("text/csv", _as_csv(body).encode(), client.MAX_CSV_RESPONSE_BYTES),
+    ]
+    # The text goes after parsing, as in pipeline.execute. The peak grows with
+    # the body, so scaled to the cap it is what a call at the cap needs.
+    for media, payload, cap in bodies:
+        tracemalloc.start()
+        try:
+            output = serialize_json(parse_results(payload.decode("utf-8"), media))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert output.count('"s": ') == 1000
+        assert peak / len(payload) * cap < 110e6, media
 
 
 def test_replaced_shares_header_and_types():
@@ -708,9 +716,11 @@ def test_an_oversized_content_length_is_a_500_without_reading_the_body(
     assert pool == {("http", "127.0.0.1", endpoint.server_address[1]): []}
 
 
-def test_a_csv_body_is_capped_at_a_fifth_of_a_json_body(pool, monkeypatch):
-    # A CSV body holds about 5 times the rows of a JSON body in a byte.
-    assert client.MAX_CSV_RESPONSE_BYTES == client.MAX_RESPONSE_BYTES // 5
+def test_a_csv_body_is_capped_at_the_memory_of_a_json_body(pool, monkeypatch):
+    # A call peaks at 15.6 times a CSV body and 8.4 times a JSON one, so at
+    # either cap it needs about the same memory.
+    csv_peak, json_peak = client.MAX_CSV_RESPONSE_BYTES * 15.6, client.MAX_RESPONSE_BYTES * 8.4
+    assert abs(csv_peak / json_peak - 1) < 0.05
     monkeypatch.setattr(client, "MAX_RESPONSE_BYTES", 1000)
     monkeypatch.setattr(client, "MAX_CSV_RESPONSE_BYTES", 200)
     head = b"HTTP/1.1 200 OK\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n"

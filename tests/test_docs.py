@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 import threading
 
 from checks import assert_valid_html
+from sparqlgate.cli import cli_main
 from sparqlgate.config import parse_document
 from sparqlgate.docs import (
     CallStats,
@@ -93,6 +95,20 @@ def test_docs_page_carries_api_metadata_and_examples():
     odd = dataclasses.replace(doc.operations[0], output_json_example='{"a": <b> & c')
     page = render_docs(doc.api, (odd,))
     assert "<pre>{&quot;a&quot;: &lt;b&gt; &amp; c</pre>" in page
+
+
+def test_an_example_output_nested_too_deep_is_shown_as_written(tmp_path, capsys):
+    # json.loads and json.dumps both give up on deep nesting with a RecursionError.
+    deep = "[" * 1500 + "]" * 1500
+    doc = _fixture_doc()
+    odd = dataclasses.replace(doc.operations[0], output_json_example=deep)
+    assert f"<pre>{deep}</pre>" in render_docs(doc.api, (odd,))
+    config, _ = fixture_citations()
+    config = re.sub(r"(?m)^#output_json .*$", f"#output_json {deep}", config)
+    path = tmp_path / "deep.hf"
+    path.write_text(config, encoding="utf-8")
+    assert cli_main(["-s", str(path), "-d"]) == 0
+    assert f"<pre>{deep}</pre>" in capsys.readouterr().out
 
 
 def test_docs_render_is_deterministic():
