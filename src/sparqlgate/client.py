@@ -59,10 +59,10 @@ TIMEOUT = 30.0  # seconds per upstream query, to connect and to answer alike
 # Memory follows rows, not bytes, and each cap keeps one call near 100 MB.
 # Decoding a body, parsing it, dropping the text and writing the call's JSON
 # output peaks under tracemalloc at 8.4 times a JSON body (json.loads holds the
-# whole document beside the text) and 15.6 times a CSV one, which carries about
+# whole document beside the text) and 14.9 times a CSV one, which carries about
 # 5 times the rows in a byte. Measured on 40k of the benchmark's 7-column rows:
-# 119 MB from the 14.1 MB JSON body, 44 MB from the 2.8 MB CSV one. At the caps,
-# 35.5k such rows of JSON peak at 105 MB and 95k rows of CSV at 103 MB.
+# 119 MB from the 14.1 MB JSON body, 42 MB from the 2.8 MB CSV one. At the caps,
+# 35.5k such rows of JSON peak at 105 MB and 95k rows of CSV at 99 MB.
 MAX_RESPONSE_BYTES = 12 << 20
 MAX_CSV_RESPONSE_BYTES = 6_710_886
 # A field is never longer than its body: lift csv's default cap of 131072.

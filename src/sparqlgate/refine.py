@@ -15,9 +15,12 @@ field the table lacks; the ``apply_*`` steps are plain row transforms.
 Typed order follows the field's declared ``#field_type`` through ``values``:
 a sort keys each row once with ``sort_key``, a typed filter uses ``compare``.
 
-Both writers are hand-written for speed and pinned byte for byte: JSON to
-``json.dumps(..., ensure_ascii=False, indent=2)``, CSV to minimal quoting
-(a field is quoted when it holds a comma, a quote, CR or LF).
+Both writers work a column at a time, so a text cell costs no Python call:
+C-level ``map`` calls encode or check each column, and a column is written
+cell by cell only when it holds a cell that is not text (a list, record or
+plugin value), or, for CSV, a field that needs quotes. They are pinned byte
+for byte: JSON to ``json.dumps(..., ensure_ascii=False, indent=2)``, CSV to
+minimal quoting (a field is quoted when it holds a comma, a quote, CR or LF).
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ import json
 import logging
 import re
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 from .client import Cell, ResultTable
 from .config import NAME_RE
@@ -45,6 +50,8 @@ _zero_weight = re.compile(r";\s*q=0(\.0{0,3})?\s*(;|$)", re.IGNORECASE).search
 _csv_needs_quotes = re.compile(r'[,"\n\r]').search
 # The C string encoder that json.dumps itself uses with ensure_ascii=False.
 _encode_text = json.encoder.encode_basestring
+# Rows per JSON batch: bounds the per-column lists the writer holds at once.
+_CHUNK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +289,28 @@ def apply_plan(
 
 def serialize_csv(table: ResultTable) -> str:
     """RFC-4180 CSV: header line first, "\\n" terminators, minimal quoting."""
-    lines = [_csv_record(table.header)]
-    for row in table.rows:
-        lines.append(_csv_record(cell_text(row[name]) for name in table.header))
+    if not table.header:
+        # Every record is a lone empty field, quoted so it is not a blank line.
+        return '""\n' * (len(table.rows) + 1)
+    columns = [_csv_column(table.rows, name) for name in table.header]
+    lines = [",".join(map(_csv_field, table.header)), *map(",".join, zip(*columns))]
+    if len(table.header) == 1:
+        # A lone empty field would render as a blank line, which readers drop;
+        # quote it so the record survives a round trip.
+        lines = [line or '""' for line in lines]
     return "\n".join(lines) + "\n"
 
 
-def _csv_record(cells) -> str:
-    line = ",".join(_csv_field(text) for text in cells)
-    # A lone empty field would render as a blank line, which readers drop;
-    # quote it so the record survives a round trip.
-    return line if line else '""'
+def _csv_column(rows: list, name: str) -> list[str]:
+    """One column's fields; one join both checks that every cell is text and
+    gives the text that one search scans for a field needing quotes."""
+    cells = list(map(itemgetter(name), rows))
+    try:
+        joined = "".join(cells)
+    except TypeError:
+        cells = list(map(cell_text, cells))
+        joined = "".join(cells)
+    return list(map(_csv_field, cells)) if _csv_needs_quotes(joined) else cells
 
 
 def _csv_field(text: str) -> str:
@@ -304,20 +322,39 @@ def _csv_field(text: str) -> str:
 def serialize_json(table: ResultTable) -> str:
     """JSON array of row objects, keys in header order.
 
-    Written row by row, and byte-identical to ``json.dumps(objects,
-    ensure_ascii=False, indent=2)``, whose ``indent`` forces CPython's
-    pure-Python encoder. A repeated header name keeps its first position.
+    Byte-identical to ``json.dumps(objects, ensure_ascii=False, indent=2)``,
+    whose ``indent`` forces CPython's pure-Python encoder. Rows go in chunks
+    of ``_CHUNK``, a column at a time: each column is encoded by one C-level
+    ``map``, and only a column holding a cell that is not text (a list,
+    record or plugin value) is written cell by cell with ``_json_value``.
+    Each record is then joined from the layout pieces, built once from the
+    header, and its cells. A repeated header name keeps its first position.
     """
     if not table.rows:
         return "[]"
     names = tuple(dict.fromkeys(table.header))
     if not names:
         return "[\n" + ",\n".join("  {}" for _ in table.rows) + "\n]"
-    keys = [(_encode_text(name) + ": ", name) for name in names]
-    return "[\n  {\n    " + "\n  },\n  {\n    ".join(
-        ",\n    ".join([key + _json_value(row[name], "    ") for key, name in keys])
-        for row in table.rows
-    ) + "\n  }\n]"
+    # An encoded key holds no raw NUL, so NUL marks where each cell goes.
+    keys = ",\n    ".join(_encode_text(name) + ": \0" for name in names)
+    layout = ("{\n    " + keys + "\n  }").split("\0")
+    rows = table.rows
+    return "[\n  " + ",\n  ".join(
+        _json_chunk(layout, names, rows[start:start + _CHUNK])
+        for start in range(0, len(rows), _CHUNK)
+    ) + "\n]"
+
+
+def _json_chunk(layout: list[str], names: tuple[str, ...], part: list) -> str:
+    pieces = []
+    for text, name in zip(layout, names):
+        try:
+            column = list(map(_encode_text, map(itemgetter(name), part)))
+        except TypeError:
+            column = [_json_value(cell, "    ") for cell in map(itemgetter(name), part)]
+        pieces += (repeat(text), column)
+    pieces.append(repeat(layout[-1]))
+    return ",\n  ".join(map("".join, zip(*pieces)))
 
 
 def _json_value(value, indent: str) -> str:
@@ -328,7 +365,10 @@ def _json_value(value, indent: str) -> str:
     if isinstance(value, list):
         if not value:
             return "[]"
-        items = [_json_value(item, inner) for item in value]
+        try:
+            items = list(map(_encode_text, value))
+        except TypeError:
+            items = [_json_value(item, inner) for item in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     if isinstance(value, dict) and all(isinstance(key, str) for key in value):
         if not value:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -599,7 +600,7 @@ def _csv_oracle(table: ResultTable) -> str:
 def test_csv_writer_matches_the_quoting_rule_on_random_tables():
     rng = random.Random(4181)
     for _ in range(2000):
-        header = tuple(rng.choice(("a", "b,", "", '"c"', "\r")) for _ in range(rng.randrange(1, 4)))
+        header = tuple(rng.choice(("a", "b,", "", '"c"', "\r")) for _ in range(rng.randrange(0, 4)))
         rows = [
             {name: _random_json_cell(rng, rng.randrange(0, 2)) if rng.random() < 0.1
              else _random_text(rng) for name in header}
@@ -609,6 +610,54 @@ def test_csv_writer_matches_the_quoting_rule_on_random_tables():
         assert serialize_csv(table) == _csv_oracle(table)
     table = _table(("x",), [{"x": "\r"}, {"x": ""}, {"x": "a\rb"}])
     assert serialize_csv(table) == 'x\n"\r"\n""\n"a\rb"\n' == _csv_oracle(table)
+    # A record with no fields or one empty field is written as "".
+    for table, expected in (
+        (_table((), []), '""\n'),
+        (_table((), [{}, {}]), '""\n""\n""\n'),
+        (_table(("",), [{"": ""}, {"": "a"}, {"": ""}]), '""\n""\na\n""\n'),
+    ):
+        assert serialize_csv(table) == expected == _csv_oracle(table)
+
+
+def test_writers_match_the_oracles_across_chunk_boundaries():
+    def plugin_cell(i):
+        return (None, i, ("t", i))[i % 3]
+
+    for n in (0, 1, refine._CHUNK - 1, refine._CHUNK, refine._CHUNK + 1, 2 * refine._CHUNK + 1):
+        rows = [
+            # Only the last row's text needs CSV quoting.
+            {"text": f"r{i}" if i < n - 1 else 'last, "quoted"', "tags": f"a;{i}",
+             "plugin": plugin_cell(i)}
+            for i in range(n)
+        ]
+        table = apply_json_array(_table(("text", "tags", "plugin"), rows), ";", "tags")
+        assert serialize_json(table) == _json_oracle(table), n
+        assert serialize_csv(table) == _csv_oracle(table), n
+
+
+def test_json_writer_peaks_near_twice_its_output():
+    header = ("s", "label", "n", "score", "span", "created", "tags")
+    table = _table(header, [
+        {
+            "s": f"https://example.org/work/{i}",
+            "label": f"Work number {i}, \"revised\"",
+            "n": str(i * 37),
+            "score": f"{i / 7:.4f}",
+            "span": f"P{i % 30}DT{i % 24}H",
+            "created": f"2020-01-{i % 28 + 1:02d}T10:00:00Z",
+            "tags": "a;b;c" if i % 3 else "",
+        }
+        for i in range(3500)
+    ])
+    tracemalloc.start()
+    try:
+        output = serialize_json(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert output == _json_oracle(table)
+    # The output and the chunks it is joined from; a third copy fails this.
+    assert peak <= 2.5 * len(output)
 
 
 def test_cell_text_reads_reshaped_cells_as_json():
