@@ -8,8 +8,10 @@ Formats") first and SPARQL-results JSON second (``ACCEPT``), and the
 media type of the answer picks the parser: a ``text/csv`` body is read with
 ``csv.reader``, and any other body as results JSON, so an endpoint that
 ignores ``Accept`` still works. The parsed form is a ResultTable — ordered
-header, per-variable value types, and ordered rows of cells — which is the
-single intermediate representation the rest of the pipeline works on.
+header, per-variable value types, and one ordered column of cells per
+variable — which is the single intermediate representation the rest of the
+pipeline works on. Row dicts are built only when a transform reads
+``table.rows``.
 
 Both formats give each binding's lexical value and nothing else. An unbound
 variable and an empty literal both read as ``""``. A blank node reads
@@ -45,7 +47,9 @@ import http.client
 import io
 import json
 import urllib.parse
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from itertools import islice
+from operator import itemgetter
 from typing import Mapping
 
 from .config import SLOT_RE
@@ -56,17 +60,20 @@ RESULTS_CSV = "text/csv"
 # What dispatch asks for: CSV, the lighter format to parse, else JSON.
 ACCEPT = f"{RESULTS_CSV}, {RESULTS_JSON};q=0.9"
 TIMEOUT = 30.0  # seconds per upstream query, to connect and to answer alike
-# Memory follows rows, not bytes, and each cap keeps one call near 100 MB.
-# Decoding a body, parsing it, dropping the text and writing the call's JSON
-# output peaks under tracemalloc at 8.4 times a JSON body (json.loads holds the
-# whole document beside the text) and 14.9 times a CSV one, which carries about
-# 5 times the rows in a byte. Measured on 40k of the benchmark's 7-column rows:
-# 119 MB from the 14.1 MB JSON body, 42 MB from the 2.8 MB CSV one. At the caps,
-# 35.5k such rows of JSON peak at 105 MB and 95k rows of CSV at 99 MB.
+# Memory follows rows, not bytes, and each cap keeps one call near or under
+# 100 MB. Decoding a body, parsing it, dropping the text and writing the call's
+# JSON output peaks under tracemalloc at 8.3 times a JSON body (json.loads holds
+# the whole document beside the text) and 11.8 times a CSV one, which carries
+# about 5 times the rows in a byte. Measured on 40k of the benchmark's 7-column
+# rows: 117 MB from the 14.1 MB JSON body, 33 MB from the 2.8 MB CSV one. At the
+# caps, 35.5k such rows of JSON peak at 104 MB and 96k rows of CSV at 79 MB.
 MAX_RESPONSE_BYTES = 12 << 20
 MAX_CSV_RESPONSE_BYTES = 6_710_886
 # A field is never longer than its body: lift csv's default cap of 131072.
 csv.field_size_limit(max(csv.field_size_limit(), MAX_RESPONSE_BYTES))
+# CSV records transposed at a time: all the record lists of a large body held
+# at once would make the cyclic GC rescan them.
+_CHUNK = 1024
 
 # Idle keep-alive connections per origin (scheme, host, port). dict.setdefault,
 # list.pop and list.append are each atomic, so threads share them without a lock.
@@ -79,20 +86,69 @@ _STALE = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError)
 Cell = str | list | dict
 
 
-@dataclass
 class ResultTable:
-    """Ordered tabular view of one SPARQL solution set."""
+    """One SPARQL solution set, held a column at a time.
 
-    header: tuple[str, ...]
-    types: dict[str, str] = field(default_factory=dict)
-    rows: list[dict[str, Cell]] = field(default_factory=list)
+    ``columns`` maps each distinct header name, in header order, to its list
+    of cells, and ``length`` is the row count, which a table without columns
+    has too. Parsing and refinement build tables with ``from_columns``;
+    ``ResultTable(header, types, rows)`` and ``replaced(rows)`` build one from
+    row dicts, for transforms and tests, reading each header name of every
+    row and nothing else. ``rows`` is a read-only view of the rows.
+    """
+
+    __slots__ = ("header", "types", "columns", "length")
+
+    def __init__(self, header: tuple[str, ...], types: dict[str, str] | None = None,
+                 rows: Sequence[Mapping[str, Cell]] = ()) -> None:
+        rows = list(rows)
+        columns = {name: list(map(itemgetter(name), rows)) for name in dict.fromkeys(header)}
+        self.header, self.types = header, {} if types is None else types
+        self.columns, self.length = columns, len(rows)
+
+    @classmethod
+    def from_columns(
+        cls, header: tuple[str, ...], types: dict[str, str], columns: dict[str, list], length: int
+    ) -> "ResultTable":
+        table = cls.__new__(cls)
+        table.header, table.types, table.columns, table.length = header, types, columns, length
+        return table
+
+    @property
+    def rows(self) -> "RowView":
+        return RowView(self)
 
     def type_of(self, variable: str) -> str:
         return self.types.get(variable, "str")
 
-    def replaced(self, rows: list[dict[str, Cell]]) -> "ResultTable":
+    def replaced(self, rows: Sequence[Mapping[str, Cell]]) -> "ResultTable":
         """Same header and types, different rows."""
         return ResultTable(self.header, self.types, rows)
+
+
+class RowView(Sequence):
+    """The rows of a table, read-only: each row read is a fresh dict, so
+    editing one leaves the table as it was, and ``len`` builds none."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: ResultTable) -> None:
+        self._table = table
+
+    def __len__(self) -> int:
+        return self._table.length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(self._table.length)[index]]
+        index = range(self._table.length)[index]  # a negative index counts from the end
+        return {name: column[index] for name, column in self._table.columns.items()}
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == other  # another view answers through its own __eq__
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 def substitute(template: str, bindings: Mapping[str, str]) -> str:
@@ -191,12 +247,13 @@ def parse_results(
     ResultParseError.
     """
     if _is_csv(media_type):
-        header, rows = _csv_rows(body)
+        header, columns, length = _csv_columns(body)
     else:
-        header, rows = _json_rows(body)
+        header, columns, length = _json_columns(body)
+    # dict(zip(header, cells)): a repeated variable keeps its first place and its last column.
     declared = field_types or {}
     types = {variable: declared.get(variable, "str") for variable in header}
-    return ResultTable(header=header, types=types, rows=rows)
+    return ResultTable.from_columns(header, types, columns, length)
 
 
 def _is_csv(media_type: str) -> bool:
@@ -204,37 +261,49 @@ def _is_csv(media_type: str) -> bool:
     return media_type.partition(";")[0].strip().lower() == RESULTS_CSV
 
 
-def _csv_rows(body: str) -> tuple[tuple[str, ...], list[dict[str, Cell]]]:
-    """The header and rows of a results CSV body, read by ``csv.reader``.
+def _csv_columns(body: str) -> tuple[tuple[str, ...], dict[str, list], int]:
+    """The header, columns and row count of a results CSV body.
 
-    Every record after the header has one field per variable. The one
-    exception is an empty line under a one-variable header: it is one
-    unbound (or empty) cell, as the CSV Recommendation writes that row.
+    ``csv.reader``'s records are transposed ``_CHUNK`` at a time. Every
+    record after the header has one field per variable. The one exception
+    is an empty line under a one-variable header: it is one unbound (or
+    empty) cell, as the CSV Recommendation writes that row.
     """
     if not body:
         raise ResultParseError("malformed SPARQL results document: empty CSV body")
     records = csv.reader(io.StringIO(body, newline=""), strict=True)
-    rows: list[dict[str, Cell]] = []
     try:
         header = tuple(next(records))  # a body that is not empty has a first line
-        for number, fields in enumerate(records, 1):
-            if len(fields) != len(header):
-                if fields or len(header) != 1:
-                    raise ResultParseError(
-                        f"malformed SPARQL results document: CSV row {number} has "
-                        f"{len(fields)} fields, the header {len(header)}"
-                    )
-                fields = [""]
-            rows.append(dict(zip(header, fields)))
+        cells: list[list[str]] = [[] for _ in header]
+        length = 0
+        while chunk := list(islice(records, _CHUNK)):
+            if set(map(len, chunk)) != {len(header)}:
+                chunk = _mended(chunk, len(header), length)
+            for column, part in zip(cells, zip(*chunk)):
+                column.extend(part)
+            length += len(chunk)
     except csv.Error as exc:
         raise ResultParseError(
             f"malformed SPARQL results document: CSV line {records.line_num}: {exc}"
         ) from None
-    return header, rows
+    return header, dict(zip(header, cells)), length
 
 
-def _json_rows(body: str) -> tuple[tuple[str, ...], list[dict[str, Cell]]]:
-    """The header and rows of a results JSON document, read by ``json.loads``."""
+def _mended(chunk: list[list[str]], width: int, start: int) -> list[list[str]]:
+    """A chunk with a record that is not ``width`` fields wide, which is an
+    error, counted from the top of the body, unless it is an empty line
+    under a one-variable header."""
+    for number, fields in enumerate(chunk, start + 1):
+        if len(fields) != width and (fields or width != 1):
+            raise ResultParseError(
+                f"malformed SPARQL results document: CSV row {number} has "
+                f"{len(fields)} fields, the header {width}"
+            )
+    return [fields or [""] for fields in chunk]  # only a one-variable header gets here
+
+
+def _json_columns(body: str) -> tuple[tuple[str, ...], dict[str, list], int]:
+    """The header, columns and row count of a results JSON document, read by ``json.loads``."""
     try:
         document = json.loads(body)
         variables = document["head"]["vars"]
@@ -244,17 +313,19 @@ def _json_rows(body: str) -> tuple[tuple[str, ...], list[dict[str, Cell]]]:
     if not isinstance(variables, list) or not isinstance(solutions, list):
         raise ResultParseError("malformed SPARQL results document: bad head/results")
     header = tuple(str(v) for v in variables)
-    return header, [_row(solution, header) for solution in solutions]
+    records = [_row(solution, header) for solution in solutions]
+    cells = list(map(list, zip(*records))) or [[] for _ in header]
+    return header, dict(zip(header, cells)), len(records)
 
 
-def _row(solution: object, header: tuple[str, ...]) -> dict[str, Cell]:
+def _row(solution: object, header: tuple[str, ...]) -> list[str]:
     if not isinstance(solution, dict):
         raise ResultParseError("malformed SPARQL results document: bad binding")
-    row: dict[str, Cell] = {}
+    row: list[str] = []
     for variable in header:
         bound = solution.get(variable)
         if bound is None:
-            row[variable] = ""
+            row.append("")
             continue
         try:
             value = bound["value"]
@@ -262,5 +333,5 @@ def _row(solution: object, header: tuple[str, ...]) -> dict[str, Cell]:
             raise ResultParseError(
                 f"malformed SPARQL results document: bad binding for {variable!r}"
             ) from None
-        row[variable] = value if isinstance(value, str) else str(value)
+        row.append(value if isinstance(value, str) else str(value))
     return row

@@ -10,10 +10,14 @@ run order, every require, then filter, then sort, then json step, however
 the parameters were interleaved in the URL; within one kind, URL order.
 ``format`` beats the Accept header; with neither, json is the default.
 ``apply_plan`` runs the steps, and alone skips, with a warning, one on a
-field the table lacks; the ``apply_*`` steps are plain row transforms.
+field the table lacks; the ``apply_*`` steps are plain table transforms.
 
+Every step and writer works on the table's columns: ``require`` and
+``filter`` build one keep mask over the field's column and compress every
+column with it, ``sort`` orders row indexes by the field's keys and
+reorders every column, and the ``json`` steps map over the field's column.
 Typed order follows the field's declared ``#field_type`` through ``values``:
-a sort keys each row once with ``sort_key``, a typed filter uses ``compare``.
+a sort keys each cell once with ``sort_key``, a typed filter uses ``compare``.
 
 Both writers work a column at a time, so a text cell costs no Python call:
 C-level ``map`` calls encode or check each column, and a column is written
@@ -29,8 +33,9 @@ import json
 import logging
 import re
 from dataclasses import dataclass
-from itertools import repeat
-from operator import itemgetter
+from functools import partial
+from itertools import compress, repeat
+from operator import itemgetter, ne
 
 from .client import Cell, ResultTable
 from .config import NAME_RE
@@ -159,7 +164,7 @@ def _parse_json_op(value: str) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Row-level application
+# Column-level application
 # ---------------------------------------------------------------------------
 
 def cell_text(cell: Cell) -> str:
@@ -169,9 +174,28 @@ def cell_text(cell: Cell) -> str:
     return json.dumps(cell, ensure_ascii=False)
 
 
+def _all_text(column: list) -> bool:
+    return set(map(type, column)) <= {str}
+
+
+def _texts(column: list) -> list[str]:
+    """A column's cells as text: the column itself when every cell is text."""
+    return column if _all_text(column) else list(map(cell_text, column))
+
+
+def _kept(table: ResultTable, keep: list[bool]) -> ResultTable:
+    """The rows whose ``keep`` flag is true, order preserved."""
+    length = sum(keep)
+    if length == table.length:
+        return table
+    columns = {name: list(compress(column, keep)) for name, column in table.columns.items()}
+    return ResultTable.from_columns(table.header, table.types, columns, length)
+
+
 def apply_require(table: ResultTable, field: str) -> ResultTable:
     """Drop rows whose cell for ``field`` is empty text, order preserved."""
-    return table.replaced([r for r in table.rows if cell_text(r[field]) != ""])
+    # Only a text cell can be "": a list or record cell never reads as empty text.
+    return _kept(table, list(map(ne, table.columns[field], repeat(""))))
 
 
 def apply_filter(table: ResultTable, spec: FilterSpec) -> ResultTable:
@@ -182,33 +206,36 @@ def apply_filter(table: ResultTable, spec: FilterSpec) -> ResultTable:
     type — strict inequality for < and >, typed equality for =.
     """
     value_type = table.type_of(spec.field)
+    texts = _texts(table.columns[spec.field])
 
     if spec.operator is None:
-        pattern = re.compile(spec.value)
-        keep = lambda cell: pattern.search(cell_text(cell)) is not None
+        keep = list(map(bool, map(re.compile(spec.value).search, texts)))
     else:
         if spec.value != "" and not is_valid(spec.value, value_type):
             raise RefinementError(
                 f"filter value {spec.value!r} is not a valid {value_type}"
             )
         wanted = {"=": (0,), "<": (-1,), ">": (1,)}[spec.operator]
-        keep = lambda cell: (
-            compare(cell_text(cell), spec.value, value_type) in wanted
-        )
+        keep = [compare(text, spec.value, value_type) in wanted for text in texts]
 
-    return table.replaced([r for r in table.rows if keep(r[spec.field])])
+    return _kept(table, keep)
 
 
 def apply_sort(table: ResultTable, spec: SortSpec) -> ResultTable:
     """Stably sort rows on one field by its typed key, each cell parsed once."""
     value_type = table.type_of(spec.field)
-    key = lambda row: sort_key(cell_text(row[spec.field]), value_type)
-    return table.replaced(sorted(table.rows, key=key, reverse=spec.order == "desc"))
+    keys = [sort_key(text, value_type) for text in _texts(table.columns[spec.field])]
+    if table.length < 2:
+        return table
+    order = sorted(range(table.length), key=keys.__getitem__, reverse=spec.order == "desc")
+    reorder = itemgetter(*order)
+    columns = {name: list(reorder(column)) for name, column in table.columns.items()}
+    return ResultTable.from_columns(table.header, table.types, columns, table.length)
 
 
 def apply_json_array(table: ResultTable, sep: str, field: str) -> ResultTable:
     """Split each text cell of ``field`` into a list cell, empties kept."""
-    return _reshape(table, field, "json array", lambda text: text.split(sep))
+    return _reshape(table, field, "json array", partial(str.split, sep=sep))
 
 
 def apply_json_dict(
@@ -228,24 +255,28 @@ def apply_json_dict(
 
 
 def _reshape(table: ResultTable, field: str, op: str, split, each_element=False) -> ResultTable:
-    """The json row loop: each text cell of ``field`` becomes ``split(text)``.
+    """The json column map: each text cell of ``field`` becomes ``split(text)``.
 
     With ``each_element``, each element of a list cell is split instead, and
     all must be text; any other cell that is not text is refused.
     """
-    rows = []
-    for row in table.rows:
-        cell = row[field]
-        if isinstance(cell, str):
-            cell = split(cell)
-        elif each_element and isinstance(cell, list):
-            if not all(isinstance(element, str) for element in cell):
-                raise RefinementError(f"{op} needs text elements in field {field!r}")
-            cell = [split(element) for element in cell]
-        else:
-            raise RefinementError(f"{op} needs text cells, field {field!r} already reshaped")
-        rows.append({**row, field: cell})
-    return table.replaced(rows)
+    column = table.columns[field]
+    if _all_text(column):
+        cells = list(map(split, column))
+    else:
+        cells = [_reshaped(cell, field, op, split, each_element) for cell in column]
+    columns = {**table.columns, field: cells}
+    return ResultTable.from_columns(table.header, table.types, columns, table.length)
+
+
+def _reshaped(cell: Cell, field: str, op: str, split, each_element: bool) -> Cell:
+    if isinstance(cell, str):
+        return split(cell)
+    if each_element and isinstance(cell, list):
+        if not all(isinstance(element, str) for element in cell):
+            raise RefinementError(f"{op} needs text elements in field {field!r}")
+        return [split(element) for element in cell]
+    raise RefinementError(f"{op} needs text cells, field {field!r} already reshaped")
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +322,9 @@ def serialize_csv(table: ResultTable) -> str:
     """RFC-4180 CSV: header line first, "\\n" terminators, minimal quoting."""
     if not table.header:
         # Every record is a lone empty field, quoted so it is not a blank line.
-        return '""\n' * (len(table.rows) + 1)
-    columns = [_csv_column(table.rows, name) for name in table.header]
+        return '""\n' * (table.length + 1)
+    fields = {name: _csv_column(column) for name, column in table.columns.items()}
+    columns = [fields[name] for name in table.header]
     lines = [",".join(map(_csv_field, table.header)), *map(",".join, zip(*columns))]
     if len(table.header) == 1:
         # A lone empty field would render as a blank line, which readers drop;
@@ -301,10 +333,9 @@ def serialize_csv(table: ResultTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_column(rows: list, name: str) -> list[str]:
+def _csv_column(cells: list) -> list[str]:
     """One column's fields; one join both checks that every cell is text and
     gives the text that one search scans for a field needing quotes."""
-    cells = list(map(itemgetter(name), rows))
     try:
         joined = "".join(cells)
     except TypeError:
@@ -330,28 +361,27 @@ def serialize_json(table: ResultTable) -> str:
     Each record is then joined from the layout pieces, built once from the
     header, and its cells. A repeated header name keeps its first position.
     """
-    if not table.rows:
+    if not table.length:
         return "[]"
-    names = tuple(dict.fromkeys(table.header))
-    if not names:
-        return "[\n" + ",\n".join("  {}" for _ in table.rows) + "\n]"
+    columns = table.columns
+    if not columns:
+        return "[\n" + ",\n".join(repeat("  {}", table.length)) + "\n]"
     # An encoded key holds no raw NUL, so NUL marks where each cell goes.
-    keys = ",\n    ".join(_encode_text(name) + ": \0" for name in names)
+    keys = ",\n    ".join(_encode_text(name) + ": \0" for name in columns)
     layout = ("{\n    " + keys + "\n  }").split("\0")
-    rows = table.rows
     return "[\n  " + ",\n  ".join(
-        _json_chunk(layout, names, rows[start:start + _CHUNK])
-        for start in range(0, len(rows), _CHUNK)
+        _json_chunk(layout, [column[start:start + _CHUNK] for column in columns.values()])
+        for start in range(0, table.length, _CHUNK)
     ) + "\n]"
 
 
-def _json_chunk(layout: list[str], names: tuple[str, ...], part: list) -> str:
+def _json_chunk(layout: list[str], parts: list[list]) -> str:
     pieces = []
-    for text, name in zip(layout, names):
+    for text, part in zip(layout, parts):
         try:
-            column = list(map(_encode_text, map(itemgetter(name), part)))
+            column = list(map(_encode_text, part))
         except TypeError:
-            column = [_json_value(cell, "    ") for cell in map(itemgetter(name), part)]
+            column = [_json_value(cell, "    ") for cell in part]
         pieces += (repeat(text), column)
     pieces.append(repeat(layout[-1]))
     return ",\n  ".join(map("".join, zip(*pieces)))

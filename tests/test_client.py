@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import http.client
+import io
 import json
 import random
 import re
@@ -279,6 +280,64 @@ def test_replaced_shares_header_and_types():
     assert table.rows == [{"a": "1"}]
 
 
+class _Unreadable(dict):
+    """Columns that fail any read: a row count must come from ``length``."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a column was read")
+
+    __getitem__ = __iter__ = __len__ = keys = values = items = get = _refuse
+
+
+def test_the_row_count_reads_no_column():
+    table = ResultTable.from_columns(("a", "b"), {}, _Unreadable(), 5)
+    assert len(table.rows) == 5
+
+
+def test_the_row_view_builds_fresh_dicts_from_the_columns():
+    columns = {"a": ["1", "2", "3"], "b": ["x", "y", "z"]}
+    table = ResultTable.from_columns(("a", "b", "a"), {}, columns, 3)
+    rows = [{"a": "1", "b": "x"}, {"a": "2", "b": "y"}, {"a": "3", "b": "z"}]
+    view = table.rows
+    assert view == rows and rows == view and view == table.rows
+    assert view != rows[:2] and view != tuple(rows)
+    assert list(view) == rows and len(view) == 3
+    assert (view[0], view[2], view[-1], view[-3]) == (rows[0], rows[2], rows[2], rows[0])
+    for index in (3, -4):
+        with pytest.raises(IndexError):
+            view[index]
+    assert (view[1:], view[::-2], view[5:]) == (rows[1:], rows[::-2], [])
+    assert rows[1] in view and view.index(rows[2]) == 2
+    first = view[0]
+    first["a"] = "changed"
+    next(iter(view))["b"] = "changed"
+    assert view == rows and columns == {"a": ["1", "2", "3"], "b": ["x", "y", "z"]}
+    for write in (lambda: view.append({}), lambda: view.sort(), lambda: view.__setitem__(0, {})):
+        with pytest.raises((AttributeError, TypeError)):
+            write()
+
+
+def test_a_table_without_columns_keeps_its_row_count():
+    table = ResultTable.from_columns((), {}, {}, 3)
+    assert len(table.rows) == 3
+    assert table.rows == [{}, {}, {}] and table.rows[-1] == {}
+    assert table.replaced(table.rows).length == 3
+    assert serialize_json(table) == "[\n  {},\n  {},\n  {}\n]"
+
+
+def test_replaced_round_trips_the_row_view():
+    table = parse_results("s,o\r\na,\r\n,b\r\n", "text/csv", {"o": "int"})
+    again = table.replaced(table.rows)
+    assert (again.header, again.types, again.columns, again.length) == (
+        table.header, table.types, table.columns, table.length
+    )
+    assert again.columns == {"s": ["a", ""], "o": ["", "b"]}
+    # Keys outside the header are dropped; a missing header key fails.
+    assert table.replaced([{"s": "1", "o": "2", "extra": "3"}]).rows == [{"s": "1", "o": "2"}]
+    with pytest.raises(KeyError):
+        table.replaced([{"s": "1"}])
+
+
 # ---------------------------------------------------------------------------
 # SPARQL 1.1 results CSV
 # ---------------------------------------------------------------------------
@@ -338,6 +397,32 @@ def test_malformed_csv_bodies_are_rejected(body, message):
     with pytest.raises(ResultParseError) as caught:
         parse_results(body, "text/csv")
     assert str(caught.value) == f"malformed SPARQL results document: {message}"
+
+
+def _reference_csv(body: str) -> tuple[tuple[str, ...], list[dict[str, str]]]:
+    records = csv.reader(io.StringIO(body, newline=""), strict=True)
+    header = tuple(next(records))
+    return header, [dict(zip(header, fields or [""])) for fields in records]
+
+
+def test_csv_bodies_parse_alike_across_chunk_boundaries():
+    # Records are transposed 1024 at a time.
+    for count in (0, 1, 1023, 1024, 1025, 2049):
+        body = "n,s,n\r\n" + "".join(f'{i},"a,{i}",-{i}\r\n' for i in range(count))
+        table = parse_results(body, "text/csv")
+        assert (table.header, table.rows) == _reference_csv(body), count
+        assert table.length == count == len(table.columns["n"])
+    lines = [f"{i},{i}\r\n" for i in range(1, 1100)]
+    lines[1029] = "short\r\n"
+    with pytest.raises(ResultParseError, match="^malformed SPARQL results document: "
+                       "CSV row 1030 has 1 fields, the header 2$"):
+        parse_results("x,y\r\n" + "".join(lines), "text/csv")
+    # An empty line under one variable is an unbound cell, in any chunk.
+    cells = [str(i) for i in range(1500)]
+    cells[1200] = cells[1499] = ""
+    table = parse_results("x\r\n" + "".join(f"{cell}\r\n" for cell in cells), "text/csv")
+    assert table.columns == {"x": cells}
+    assert table.rows == _reference_csv("x\r\n" + "".join(f"{c}\r\n" for c in cells))[1]
 
 
 @pytest.mark.parametrize(

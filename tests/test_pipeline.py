@@ -163,6 +163,20 @@ def test_unexpected_failure_is_a_500_outcome_with_the_uniform_body(mock_endpoint
     assert any("pipeline failure" in r.message for r in caplog.records)
 
 
+def test_a_transform_that_edits_the_row_view_gets_a_500(mock_endpoint):
+    config, _ = fixture_citations(mock_endpoint.url)
+    config = config.replace(
+        "#description All works", "#postprocess grow()\n#description All works", 1
+    )
+    doc = parse_document(config)
+    registry = register_builtins(ProcessRegistry())
+    registry.register_table("grow", lambda table: table.rows.append({}) or table)
+    wired = (doc, compile_routes(doc.api, doc.operations), registry)
+    outcome = _call(wired, "/api/v1/citations/10.1108/jd-12-2013-0166")
+    assert (outcome.status, outcome.content_type) == (500, "application/json")
+    assert "grow" in json.loads(outcome.body)["error"]
+
+
 def test_validate_chains_requires_registered_names():
     registry = register_builtins(ProcessRegistry())
     config, _ = fixture_citations()

@@ -10,7 +10,7 @@ import pytest
 
 from checks import oracle_sorted
 from sparqlgate import refine
-from sparqlgate.client import ResultTable
+from sparqlgate.client import ResultTable, parse_results
 from sparqlgate.errors import RefinementError, RefinementSyntaxError
 from sparqlgate.refine import (
     CSV_MEDIA_TYPE,
@@ -578,6 +578,20 @@ def test_json_writer_edge_cases():
     ):
         table = _table(header, rows)
         assert serialize_json(table) == _json_oracle(table)
+
+
+@pytest.mark.parametrize(
+    "body, as_json, as_csv",
+    [
+        ("a,a\r\n1,2\r\n", '[\n  {\n    "a": "2"\n  }\n]', "a,a\n2,2\n"),
+        ("\r\n\r\n\r\n", "[\n  {},\n  {}\n]", '""\n""\n""\n'),
+    ],
+    ids=["a repeated variable", "no variables"],
+)
+def test_writers_on_edge_csv_answers(body, as_json, as_csv):
+    table = parse_results(body, "text/csv")
+    assert serialize_json(table) == as_json
+    assert serialize_csv(table) == as_csv
 
 
 def _csv_oracle(table: ResultTable) -> str:
