@@ -62,11 +62,13 @@ ACCEPT = f"{RESULTS_CSV}, {RESULTS_JSON};q=0.9"
 TIMEOUT = 30.0  # seconds per upstream query, to connect and to answer alike
 # Memory follows rows, not bytes, and each cap keeps one call near or under
 # 100 MB. Decoding a body, parsing it, dropping the text and writing the call's
-# JSON output peaks under tracemalloc at 8.3 times a JSON body (json.loads holds
-# the whole document beside the text) and 11.8 times a CSV one, which carries
-# about 5 times the rows in a byte. Measured on 40k of the benchmark's 7-column
-# rows: 117 MB from the 14.1 MB JSON body, 33 MB from the 2.8 MB CSV one. At the
-# caps, 35.5k such rows of JSON peak at 104 MB and 96k rows of CSV at 79 MB.
+# JSON output peaks under tracemalloc at 8.3 times a JSON body, while parsing
+# (json.loads holds the whole document beside the text), and 11.8 times a CSV
+# one, which carries about 5 times the rows in a byte; there parsing and writing
+# peak alike, writing at the table plus twice its output. Measured on 40k of the
+# benchmark's 7-column rows: 117 MB from the 14.1 MB JSON body, 33 MB from the
+# 2.8 MB CSV one. At the caps, 35.5k such rows of JSON peak at 104 MB and 96k
+# rows of CSV at 79 MB.
 MAX_RESPONSE_BYTES = 12 << 20
 MAX_CSV_RESPONSE_BYTES = 6_710_886
 # A field is never longer than its body: lift csv's default cap of 131072.

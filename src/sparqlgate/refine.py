@@ -19,12 +19,17 @@ reorders every column, and the ``json`` steps map over the field's column.
 Typed order follows the field's declared ``#field_type`` through ``values``:
 a sort keys each cell once with ``sort_key``, a typed filter uses ``compare``.
 
-Both writers work a column at a time, so a text cell costs no Python call:
-C-level ``map`` calls encode or check each column, and a column is written
-cell by cell only when it holds a cell that is not text (a list, record or
-plugin value), or, for CSV, a field that needs quotes. They are pinned byte
-for byte: JSON to ``json.dumps(..., ensure_ascii=False, indent=2)``, CSV to
-minimal quoting (a field is quoted when it holds a comma, a quote, CR or LF).
+Both writers lay each chunk of rows into one piece list, glue and cells
+taking turns, a column at a time by strided slice assignment, and join it
+once; neither builds a string per record. A column's text is checked whole:
+one join, and one ``bytes.translate`` deletion of the characters that need
+escaping or quoting. Text that needs neither, and ``json=array`` lists of
+such text, go in as they are, the quotes and brackets riding in the glue;
+other text costs one C-level ``map``, and only a column holding a cell that
+is not text (a record or plugin value) is written cell by cell. They are
+pinned byte for byte: JSON to ``json.dumps(..., ensure_ascii=False,
+indent=2)``, CSV to minimal quoting (a field is quoted when it holds a
+comma, a quote, CR or LF).
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import logging
 import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter, ne
 
 from .client import Cell, ResultTable
@@ -55,7 +60,11 @@ _zero_weight = re.compile(r";\s*q=0(\.0{0,3})?\s*(;|$)", re.IGNORECASE).search
 _csv_needs_quotes = re.compile(r'[,"\n\r]').search
 # The C string encoder that json.dumps itself uses with ensure_ascii=False.
 _encode_text = json.encoder.encode_basestring
-# Rows per JSON batch: bounds the per-column lists the writer holds at once.
+# The characters _encode_text escapes, and those that make a CSV field need
+# quotes: all ASCII, so no other character's UTF-8 bytes hold one.
+_JSON_ESCAPED = bytes([*range(0x20), ord('"'), ord("\\")])
+_CSV_QUOTED = b',"\n\r'
+# Rows per writer chunk: bounds the piece lists the writers hold at once.
 _CHUNK = 1024
 
 
@@ -319,29 +328,45 @@ def apply_plan(
 
 
 def serialize_csv(table: ResultTable) -> str:
-    """RFC-4180 CSV: header line first, "\\n" terminators, minimal quoting."""
+    """RFC-4180 CSV: header line first, "\\n" terminators, minimal quoting.
+
+    Each chunk of ``_CHUNK`` rows is one piece list, a "\\n" or "," before
+    each field, joined once.
+    """
     if not table.header:
         # Every record is a lone empty field, quoted so it is not a blank line.
         return '""\n' * (table.length + 1)
-    fields = {name: _csv_column(column) for name, column in table.columns.items()}
-    columns = [fields[name] for name in table.header]
-    lines = [",".join(map(_csv_field, table.header)), *map(",".join, zip(*columns))]
-    if len(table.header) == 1:
-        # A lone empty field would render as a blank line, which readers drop;
-        # quote it so the record survives a round trip.
-        lines = [line or '""' for line in lines]
-    return "\n".join(lines) + "\n"
+    head = ",".join(map(_csv_field, table.header))
+    if len(table.header) == 1 and not head:
+        head = '""'
+    if not table.length:
+        return head + "\n"
+    columns = [table.columns[name] for name in table.header]
+    return _joined_chunks(partial(_csv_chunk, head), columns, table.length)
 
 
-def _csv_column(cells: list) -> list[str]:
-    """One column's fields; one join both checks that every cell is text and
-    gives the text that one search scans for a field needing quotes."""
+def _csv_chunk(head: str, parts: list[list], first: bool, last: bool) -> str:
+    # A lone empty field would render as a blank line, which readers drop;
+    # quote it so the record survives a round trip.
+    fields = [_csv_column(part, len(parts) == 1) for part in parts]
+    glue = ["\n", *repeat(",", len(parts) - 1)]
+    return _joined(glue, fields, head + "\n" if first else "\n", "\n" if last else "")
+
+
+def _csv_column(cells: list, lone: bool) -> list[str]:
+    """One chunk of a column's fields. One join both checks that every cell
+    is text and gives the text one deletion checks for a field needing
+    quotes; only a column that fails either is written cell by cell."""
     try:
         joined = "".join(cells)
     except TypeError:
         cells = list(map(cell_text, cells))
         joined = "".join(cells)
-    return list(map(_csv_field, cells)) if _csv_needs_quotes(joined) else cells
+    if not _keeps(joined, _CSV_QUOTED):
+        cells = list(map(_csv_field, cells))
+    if lone and "" in cells:
+        cells = [field or '""' for field in cells]
+    return cells
 
 
 def _csv_field(text: str) -> str:
@@ -350,41 +375,93 @@ def _csv_field(text: str) -> str:
     return text
 
 
+def _keeps(text: str, deleted: bytes) -> bool:
+    """Whether ``text`` holds none of the ASCII characters in ``deleted``:
+    its UTF-8 bytes lose nothing under one ``bytes.translate`` deletion."""
+    data = text.encode("utf-8", "surrogatepass")
+    return len(data.translate(None, deleted)) == len(data)
+
+
+def _joined_chunks(write, columns: list[list], length: int) -> str:
+    """The output: ``write(parts, first, last)`` of each chunk of at most
+    ``_CHUNK`` rows of ``columns``, joined once; a lone chunk is not copied."""
+    starts = range(0, length, _CHUNK)
+    return "".join([
+        write([column[start:start + _CHUNK] for column in columns], not start, start == starts[-1])
+        for start in starts
+    ])
+
+
+def _joined(glue: list[str], cells: list[list[str]], lead: str, tail: str) -> str:
+    """A chunk's records: ``glue[j]`` before each cell from ``cells[j]``, laid
+    in one piece list by strided slice assignment and joined once; ``lead``
+    replaces the first glue and ``tail`` follows the last cell."""
+    rows, width = len(cells[0]), 2 * len(cells)
+    end = rows * width
+    # The spare last slot keeps the tail, so the list never grows.
+    pieces = [tail] * (end + 1)
+    for j, (text, column) in enumerate(zip(glue, cells)):
+        pieces[2 * j:end:width] = [text] * rows
+        pieces[2 * j + 1:end:width] = column
+    pieces[0] = lead
+    return "".join(pieces)
+
+
 def serialize_json(table: ResultTable) -> str:
     """JSON array of row objects, keys in header order.
 
     Byte-identical to ``json.dumps(objects, ensure_ascii=False, indent=2)``,
-    whose ``indent`` forces CPython's pure-Python encoder. Rows go in chunks
-    of ``_CHUNK``, a column at a time: each column is encoded by one C-level
-    ``map``, and only a column holding a cell that is not text (a list,
-    record or plugin value) is written cell by cell with ``_json_value``.
-    Each record is then joined from the layout pieces, built once from the
-    header, and its cells. A repeated header name keeps its first position.
+    whose ``indent`` forces CPython's pure-Python encoder. Each chunk of
+    ``_CHUNK`` rows is one piece list, glue and cells taking turns, joined
+    once. The glue carries the keys, brackets, braces and separators, and the
+    quotes or brackets around a column that goes in as it is. A repeated
+    header name keeps its first position.
     """
     if not table.length:
         return "[]"
     columns = table.columns
     if not columns:
         return "[\n" + ",\n".join(repeat("  {}", table.length)) + "\n]"
-    # An encoded key holds no raw NUL, so NUL marks where each cell goes.
-    keys = ",\n    ".join(_encode_text(name) + ": \0" for name in columns)
-    layout = ("{\n    " + keys + "\n  }").split("\0")
-    return "[\n  " + ",\n  ".join(
-        _json_chunk(layout, [column[start:start + _CHUNK] for column in columns.values()])
-        for start in range(0, table.length, _CHUNK)
-    ) + "\n]"
+    keys = [_encode_text(name) + ": " for name in columns]
+    return _joined_chunks(partial(_json_chunk, keys), list(columns.values()), table.length)
 
 
-def _json_chunk(layout: list[str], parts: list[list]) -> str:
-    pieces = []
-    for text, part in zip(layout, parts):
+def _json_chunk(keys: list[str], parts: list[list], first: bool, last: bool) -> str:
+    openings, cells, closings = zip(*map(_json_column, parts))
+    glue = [
+        # Between records, the first cell's glue closes the record before it.
+        closings[j - 1] + (",\n    " if j else "\n  },\n  {\n    ") + key + openings[j]
+        for j, key in enumerate(keys)
+    ]
+    lead = ("[" if first else ",") + "\n  {\n    " + keys[0] + openings[0]
+    return _joined(glue, cells, lead, closings[-1] + ("\n  }\n]" if last else "\n  }"))
+
+
+def _json_column(part: list) -> tuple[str, list[str], str]:
+    """One chunk of a column: the glue's text before each cell, the cells,
+    and the glue's text after each cell.
+
+    Text that ``_encode_text`` would leave as it is goes in as it is, and
+    non-empty lists of such text, what ``json=array`` makes, go in as their
+    elements joined by the separator between them. Other text costs one
+    ``map``; any other column is written cell by cell with ``_json_value``.
+    """
+    try:
+        joined = "".join(part)
+    except TypeError:
+        pass
+    else:
+        if _keeps(joined, _JSON_ESCAPED):
+            return '"', part, '"'
+        return "", list(map(_encode_text, part)), ""
+    if set(map(type, part)) == {list} and all(part):
         try:
-            column = list(map(_encode_text, part))
+            clean = _keeps("".join(chain.from_iterable(part)), _JSON_ESCAPED)
         except TypeError:
-            column = [_json_value(cell, "    ") for cell in part]
-        pieces += (repeat(text), column)
-    pieces.append(repeat(layout[-1]))
-    return ",\n  ".join(map("".join, zip(*pieces)))
+            clean = False
+        if clean:
+            return '[\n      "', list(map('",\n      "'.join, part)), '"\n    ]'
+    return "", [_json_value(cell, "    ") for cell in part], ""
 
 
 def _json_value(value, indent: str) -> str:

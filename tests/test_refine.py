@@ -674,6 +674,95 @@ def test_json_writer_peaks_near_twice_its_output():
     assert peak <= 2.5 * len(output)
 
 
+def test_the_clean_checks_keep_exactly_what_needs_no_escape_or_quotes():
+    # The JSON writer splices a clean column between quotes without encoding
+    # it, and the CSV writer writes a clean column without quoting it.
+    for code in (*range(0x10000), 0x10000, 0x1F600, 0xE0001, 0x10FFFF):
+        ch = chr(code)
+        assert refine._keeps(ch, refine._JSON_ESCAPED) == (
+            refine._encode_text(ch) == '"' + ch + '"'
+        ), hex(code)
+        assert refine._keeps(ch, refine._CSV_QUOTED) == (refine._csv_field(ch) == ch), hex(code)
+
+
+def _count_writer_calls(monkeypatch) -> dict[str, int]:
+    calls = dict.fromkeys(("_encode_text", "_json_value", "_csv_field"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(refine, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(refine, name, counted)
+    return calls
+
+
+_CLEAN_HEADER = ("s", "name", "n", "score", "span", "created", "tags")
+
+
+def _clean_table(n: int) -> ResultTable:
+    """Text no writer needs to escape or quote, 'é' and '/' included."""
+    return _table(_CLEAN_HEADER, [
+        {"s": f"https://example.org/work/{i}", "name": f"item-{i} café", "n": str(i * 37),
+         "score": f"{i / 7:.4f}", "span": f"P{i % 30}DT{i % 24}H",
+         "created": f"2020-01-{i % 28 + 1:02d}T10:00:00Z", "tags": "a;b;c" if i % 3 else ""}
+        for i in range(n)
+    ])
+
+
+def test_the_writers_make_no_call_per_clean_cell(monkeypatch):
+    table = _clean_table(3000)
+    expected_json, expected_csv = _json_oracle(table), _csv_oracle(table)
+    calls = _count_writer_calls(monkeypatch)
+    assert serialize_json(table) == expected_json
+    assert serialize_csv(table) == expected_csv
+    # Once per key and once per header field, not once per cell.
+    assert calls == {"_encode_text": 7, "_json_value": 0, "_csv_field": 7}
+
+
+def test_only_a_column_needing_escapes_is_encoded_cell_by_cell(monkeypatch):
+    table = _clean_table(3000)
+    # One cell in 100 of one column, so every chunk holds some.
+    table.columns["name"][::100] = ['say "hi"\t'] * 30
+    expected = _json_oracle(table)
+    calls = _count_writer_calls(monkeypatch)
+    assert serialize_json(table) == expected
+    assert calls == {"_encode_text": 7 + 3000, "_json_value": 0, "_csv_field": 0}
+
+
+def test_a_json_array_column_of_clean_text_is_not_written_cell_by_cell(monkeypatch):
+    table = apply_json_array(_clean_table(3000), ";", "tags")
+    assert table.columns["tags"][:3] == [[""], ["a", "b", "c"], ["a", "b", "c"]]
+    expected = _json_oracle(table)
+    calls = _count_writer_calls(monkeypatch)
+    assert serialize_json(table) == expected
+    assert calls == {"_encode_text": 7, "_json_value": 0, "_csv_field": 0}
+
+
+@pytest.mark.parametrize(
+    "field, odd",
+    [
+        ("tags", []),
+        ("tags", ["a", 1]),
+        ("tags", ["a", 'b"c']),
+        ("tags", {"k": "v"}),
+        # Each one's only special character comes last, where a check
+        # that stops one character short would miss it.
+        ("text", "say hi\t"),
+        ("text", "ab,"),
+    ],
+    ids=["empty list", "non-text element", "element needing escape", "record",
+         "text needing escape", "text needing quotes"],
+)
+def test_one_odd_cell_in_the_last_chunk_keeps_the_writers_exact(field, odd):
+    for n in (0, 1, refine._CHUNK - 1, refine._CHUNK, refine._CHUNK + 1, 2 * refine._CHUNK + 1):
+        rows = [{"text": f"r{i}", "tags": ["a", f"{i}"]} for i in range(n)]
+        if n:
+            rows[-1][field] = odd
+        table = _table(("text", "tags"), rows)
+        assert serialize_json(table) == _json_oracle(table), n
+        assert serialize_csv(table) == _csv_oracle(table), n
+
+
 def test_cell_text_reads_reshaped_cells_as_json():
     assert cell_text("plain") == "plain"
     assert cell_text(["a", "b"]) == '["a", "b"]'
