@@ -47,8 +47,8 @@ import http.client
 import io
 import json
 import urllib.parse
-from collections.abc import Sequence
-from itertools import islice
+from collections.abc import Iterator, Sequence
+from itertools import islice, repeat
 from operator import itemgetter
 from typing import Mapping
 
@@ -62,19 +62,19 @@ ACCEPT = f"{RESULTS_CSV}, {RESULTS_JSON};q=0.9"
 TIMEOUT = 30.0  # seconds per upstream query, to connect and to answer alike
 # Memory follows rows, not bytes, and each cap keeps one call near or under
 # 100 MB. Decoding a body, parsing it, dropping the text and writing the call's
-# JSON output peaks under tracemalloc at 8.3 times a JSON body, while parsing
+# JSON output peaks under tracemalloc at 7.8 times a JSON body, while parsing
 # (json.loads holds the whole document beside the text), and 11.8 times a CSV
 # one, which carries about 5 times the rows in a byte; there parsing and writing
 # peak alike, writing at the table plus twice its output. Measured on 40k of the
-# benchmark's 7-column rows: 117 MB from the 14.1 MB JSON body, 33 MB from the
-# 2.8 MB CSV one. At the caps, 35.5k such rows of JSON peak at 104 MB and 96k
+# benchmark's 7-column rows: 110 MB from the 14.1 MB JSON body, 33 MB from the
+# 2.8 MB CSV one. At the caps, 35.6k such rows of JSON peak at 98 MB and 96k
 # rows of CSV at 79 MB.
 MAX_RESPONSE_BYTES = 12 << 20
 MAX_CSV_RESPONSE_BYTES = 6_710_886
 # A field is never longer than its body: lift csv's default cap of 131072.
 csv.field_size_limit(max(csv.field_size_limit(), MAX_RESPONSE_BYTES))
-# CSV records transposed at a time: all the record lists of a large body held
-# at once would make the cyclic GC rescan them.
+# Records transposed at a time, from either format: all the record lists of a
+# large body held at once would make the cyclic GC rescan them.
 _CHUNK = 1024
 
 # Idle keep-alive connections per origin (scheme, host, port). dict.setdefault,
@@ -264,44 +264,17 @@ def _is_csv(media_type: str) -> bool:
 
 
 def _csv_columns(body: str) -> tuple[tuple[str, ...], dict[str, list], int]:
-    """The header, columns and row count of a results CSV body.
-
-    ``csv.reader``'s records are transposed ``_CHUNK`` at a time. Every
-    record after the header has one field per variable. The one exception
-    is an empty line under a one-variable header: it is one unbound (or
-    empty) cell, as the CSV Recommendation writes that row.
-    """
+    """The header, columns and row count of a results CSV body, read by ``csv.reader``."""
     if not body:
         raise ResultParseError("malformed SPARQL results document: empty CSV body")
     records = csv.reader(io.StringIO(body, newline=""), strict=True)
     try:
         header = tuple(next(records))  # a body that is not empty has a first line
-        cells: list[list[str]] = [[] for _ in header]
-        length = 0
-        while chunk := list(islice(records, _CHUNK)):
-            if set(map(len, chunk)) != {len(header)}:
-                chunk = _mended(chunk, len(header), length)
-            for column, part in zip(cells, zip(*chunk)):
-                column.extend(part)
-            length += len(chunk)
+        return _columns(header, records)
     except csv.Error as exc:
         raise ResultParseError(
             f"malformed SPARQL results document: CSV line {records.line_num}: {exc}"
         ) from None
-    return header, dict(zip(header, cells)), length
-
-
-def _mended(chunk: list[list[str]], width: int, start: int) -> list[list[str]]:
-    """A chunk with a record that is not ``width`` fields wide, which is an
-    error, counted from the top of the body, unless it is an empty line
-    under a one-variable header."""
-    for number, fields in enumerate(chunk, start + 1):
-        if len(fields) != width and (fields or width != 1):
-            raise ResultParseError(
-                f"malformed SPARQL results document: CSV row {number} has "
-                f"{len(fields)} fields, the header {width}"
-            )
-    return [fields or [""] for fields in chunk]  # only a one-variable header gets here
 
 
 def _json_columns(body: str) -> tuple[tuple[str, ...], dict[str, list], int]:
@@ -315,9 +288,36 @@ def _json_columns(body: str) -> tuple[tuple[str, ...], dict[str, list], int]:
     if not isinstance(variables, list) or not isinstance(solutions, list):
         raise ResultParseError("malformed SPARQL results document: bad head/results")
     header = tuple(str(v) for v in variables)
-    records = [_row(solution, header) for solution in solutions]
-    cells = list(map(list, zip(*records))) or [[] for _ in header]
-    return header, dict(zip(header, cells)), len(records)
+    return _columns(header, map(_row, solutions, repeat(header)))
+
+
+def _columns(
+    header: tuple[str, ...], records: Iterator[list[str]]
+) -> tuple[tuple[str, ...], dict[str, list], int]:
+    """The header, columns and row count of ``records``, ``_CHUNK`` at a time. Every
+    record has one field per variable, but an empty CSV line under a one-variable
+    header is one unbound (or empty) cell, as the CSV Recommendation writes that row."""
+    cells: list[list[str]] = [[] for _ in header]
+    length = 0
+    while chunk := list(islice(records, _CHUNK)):
+        if set(map(len, chunk)) != {len(header)}:
+            chunk = _mended(chunk, len(header), length)
+        for column, part in zip(cells, zip(*chunk)):
+            column.extend(part)
+        length += len(chunk)
+    return header, dict(zip(header, cells)), length
+
+
+def _mended(chunk: list[list[str]], width: int, start: int) -> list[list[str]]:
+    """A chunk that breaks ``_columns``' width rule, mended, or the error at
+    its first bad record, counted from the top of the body."""
+    for number, fields in enumerate(chunk, start + 1):
+        if len(fields) != width and (fields or width != 1):
+            raise ResultParseError(
+                f"malformed SPARQL results document: CSV row {number} has "
+                f"{len(fields)} fields, the header {width}"
+            )
+    return [fields or [""] for fields in chunk]  # only a one-variable header gets here
 
 
 def _row(solution: object, header: tuple[str, ...]) -> list[str]:

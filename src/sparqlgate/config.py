@@ -84,7 +84,7 @@ PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_]\w*)\}")
 SLOT_RE = re.compile(r"\[\[([A-Za-z_]\w*)\]\]")
 _ALT_SLOT_RE = re.compile(r"\[\{([A-Za-z_]\w*)\}\]")
 _SHAPE_RE = re.compile(r"^([A-Za-z_]\w*)(?:\((.*)\))?$", re.DOTALL)
-NAME_RE = re.compile(r"^[A-Za-z_]\w*$")
+NAME_RE = re.compile(r"^[A-Za-z_]\w*\Z")
 # CR and LF only: str.splitlines also breaks at U+2028, form feed and others.
 _LINE_BREAK_RE = re.compile(r"\r\n|\r|\n")
 

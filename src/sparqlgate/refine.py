@@ -54,8 +54,8 @@ JSON_MEDIA_TYPE = "application/json"
 _ACCEPT_FORMATS = {CSV_MEDIA_TYPE: "csv", JSON_MEDIA_TYPE: "json"}
 
 _FILTER_RE = re.compile(r"^([A-Za-z_]\w*):(.*)$", re.DOTALL)
-_SORT_RE = re.compile(r"^(asc|desc)\(\s*([A-Za-z_]\w*)\s*\)$")
-_JSON_RE = re.compile(r'^(array|dict)\(\s*"([^"]*)"\s*,(.*)\)$', re.DOTALL)
+_SORT_RE = re.compile(r"^(asc|desc)\(\s*([A-Za-z_]\w*)\s*\)\Z")
+_JSON_RE = re.compile(r'^(array|dict)\(\s*"([^"]*)"\s*,(.*)\)\Z', re.DOTALL)
 _zero_weight = re.compile(r";\s*q=0(\.0{0,3})?\s*(;|$)", re.IGNORECASE).search
 _csv_needs_quotes = re.compile(r'[,"\n\r]').search
 # The C string encoder that json.dumps itself uses with ensure_ascii=False.

@@ -59,7 +59,7 @@ def compile_matcher(
         pieces.append(f"(?P<{name}>{shapes[name].pattern})")
         cursor = m.end()
     pieces.append(re.escape(source[cursor:]))
-    pieces.append("$")
+    pieces.append(r"\Z")
     try:
         return re.compile("".join(pieces))
     except re.error as exc:

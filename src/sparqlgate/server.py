@@ -66,14 +66,16 @@ class BaseHandler(BaseHTTPRequestHandler):
         # right. A body that cannot be framed, or is too large to read, is
         # refused unread, which closes the connection.
         lengths = self.headers.get_all("Content-Length", ["0"])
+        # int() refuses over 4300 digits: more than the cap has, zeros aside, is over it.
+        length = lengths[0].lstrip("0") or "0"
         if "Transfer-Encoding" in self.headers:
             self.send_error(411, "Transfer-Encoding is not supported")
         elif len(set(lengths)) > 1 or not (lengths[0].isascii() and lengths[0].isdigit()):
             self.send_error(400, "Malformed Content-Length")
-        elif int(lengths[0]) > MAX_BODY_BYTES:
+        elif len(length) > len(str(MAX_BODY_BYTES)) or int(length) > MAX_BODY_BYTES:
             self.send_error(413, "Request body too large")
         else:
-            self._handle(method, self.rfile.read(int(lengths[0])))
+            self._handle(method, self.rfile.read(int(length)))
 
     def send_error(self, code: int, message: str | None = None, explain=None) -> None:
         # Replaces http.server's HTML error page; explain is not sent.

@@ -25,10 +25,10 @@ import re
 
 VALUE_TYPES = ("str", "int", "float", "duration", "datetime")
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
-_FLOAT_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+_INT_RE = re.compile(r"^[+-]?\d+\Z")
+_FLOAT_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
 _DATETIME_RE = re.compile(
-    r"^(\d{4})(?:-(\d{2})(?:-(\d{2})(?:T(\d{2})(?::(\d{2})(?::(\d{2}))?)?)?)?)?$"
+    r"^(\d{4})(?:-(\d{2})(?:-(\d{2})(?:T(\d{2})(?::(\d{2})(?::(\d{2}))?)?)?)?)?\Z"
 )
 _DURATION_RE = re.compile(
     r"^(-)?P"
@@ -40,7 +40,7 @@ _DURATION_RE = re.compile(
     r"(?:(\d+(?:\.\d+)?)H)?"
     r"(?:(\d+(?:\.\d+)?)M)?"
     r"(?:(\d+(?:\.\d+)?)S)?"
-    r")?$"
+    r")?\Z"
 )
 
 _SECONDS = {

@@ -425,6 +425,22 @@ def test_csv_bodies_parse_alike_across_chunk_boundaries():
     assert table.rows == _reference_csv("x\r\n" + "".join(f"{c}\r\n" for c in cells))[1]
 
 
+def test_json_bodies_parse_alike_across_chunk_boundaries():
+    # Solutions are transposed 1024 at a time, as CSV records are.
+    for count in (0, 1, 1023, 1024, 1025, 2049):
+        rows = [{"n": str(i), "s": f"a,{i}" if i % 3 else None} for i in range(count)]
+        body = results_json(("n", "s", "n"), rows)
+        table = parse_results(body)
+        assert (table.header, table.rows) == _reference_rows(body), count
+        assert table.length == count == len(table.columns["s"])
+    solutions = [{"x": {"value": str(i)}} for i in range(1100)]
+    solutions[1029] = {"x": {"type": "literal"}}
+    body = json.dumps({"head": {"vars": ["x"]}, "results": {"bindings": solutions}})
+    with pytest.raises(ResultParseError, match="^malformed SPARQL results document: "
+                       "bad binding for 'x'$"):
+        parse_results(body)
+
+
 @pytest.mark.parametrize(
     "media",
     ["text/csv", "text/csv; charset=utf-8", "TEXT/CSV", " Text/Csv ;charset=UTF-8"],

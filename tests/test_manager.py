@@ -210,6 +210,33 @@ def test_call_routes_to_the_longest_matching_base(mock_endpoint, tmp_path):
     assert manager.find_api("/api") is None
 
 
+def test_an_encoded_line_feed_is_a_400_in_a_typed_parameter_or_a_refinement(
+    gateway, mock_endpoint, tmp_path
+):
+    counted = """#url /count
+#type api
+#endpoint __ENDPOINT__
+
+#url /works/{n}
+#type operation
+#n int
+#method get
+#sparql SELECT ?work WHERE { ?work <urn:count> [[n]] . }
+"""
+    path = tmp_path / "count.hf"
+    path.write_text(counted.replace("__ENDPOINT__", mock_endpoint.url), encoding="utf-8")
+    outcome, _, _ = ApiManager([str(path)]).call("/count/works/12%0A")
+    assert outcome.status == 400
+    assert json.loads(outcome.body)["error"] == (
+        "parameter 'n' value '12\\n' is not a valid int"
+    )
+    info = "/api/v1/citation-info/10.1108/jd-12-2013-0166"
+    assert gateway.call(f"{info}?require=creation")[0].status == 200
+    for refinement in ("require=creation%0A", "sort=desc(creation)%0A"):
+        outcome, _, _ = gateway.call(f"{info}?{refinement}")
+        assert outcome.status == 400, refinement
+
+
 def test_call_outside_every_base_is_a_404_outcome(gateway):
     outcome, api, operation = gateway.call("/elsewhere/x")
     assert (outcome.status, api, operation) == (404, None, None)

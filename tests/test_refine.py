@@ -105,6 +105,10 @@ def test_unknown_keys_are_ignored_with_a_warning(caplog):
 def test_malformed_refinements_raise_syntax_errors():
     bad = (
         ("require", "not a name"),
+        ("require", "creation\n"),
+        ("sort", "desc(creation)\n"),
+        ("json", 'array("/", cited)\n'),
+        ("json", 'dict("/", citing, a, b)\n'),
         ("filter", "no-colon-here"),
         ("filter", "creation:(unclosed"),
         ("sort", "up(citing)"),
@@ -270,6 +274,11 @@ def test_array_refuses_already_reshaped_cells():
     table = _table(("x",), [{"x": ["a", "b"]}])
     with pytest.raises(RefinementError):
         apply_json_array(table, "/", "x")
+    # A postprocess plug-in may return a column that mixes text and list cells.
+    mixed = _table(("x",), [{"x": "a/b"}, {"x": ["c/d"]}])
+    with pytest.raises(RefinementError, match="^json array needs text cells, "
+                       "field 'x' already reshaped$"):
+        apply_json_array(mixed, "/", "x")
 
 
 def test_dict_splits_into_records_with_leftmost_cuts():
@@ -295,6 +304,13 @@ def test_dict_maps_over_list_cells_elementwise():
     out = apply_json_dict(table, "0", "cited", ("one", "two"))
     assert out.rows == [
         {"cited": [{"one": "1", "two": ".1108"}, {"one": "jd-12-2", "two": "13-0166"}]}
+    ]
+    mixed = _table(("x",), [{"x": "a/b"}, {"x": ["c/d", "e"]}, {"x": ""}])
+    out = apply_json_dict(mixed, "/", "x", ("one", "two"))
+    assert [r["x"] for r in out.rows] == [
+        {"one": "a", "two": "b"},
+        [{"one": "c", "two": "d"}, {"one": "e", "two": ""}],
+        {"one": "", "two": ""},
     ]
 
 

@@ -72,6 +72,7 @@ def test_zero_parameter_template_matches_exactly():
     assert matcher.match("/api/v1/ping")
     assert not matcher.match("/api/v1/ping/extra")
     assert not matcher.match("/api/v1/pin")
+    assert not matcher.match("/api/v1/ping\n")
 
 
 def test_declared_pattern_gates_the_match():
@@ -167,6 +168,16 @@ def test_coerce_binding_keeps_text_but_gates_on_type():
         coerce_binding("12a", ParamShape("n", "int"))
     with pytest.raises(TypeMismatchError):
         coerce_binding("P1X", ParamShape("t", "duration"))
+
+
+def test_an_encoded_line_feed_never_passes_a_typed_parameter():
+    # The default pattern .+ admits "12%0A"; its type gates the decoded "12\n".
+    shape = ParamShape("n", "int")
+    matcher = compile_matcher("/api/v1", "/items/{n}", (shape,))
+    assert not matcher.match("/api/v1/items/12\n")
+    m = matcher.match("/api/v1/items/12%0A")
+    with pytest.raises(TypeMismatchError, match=r"value '12\\n' is not a valid int"):
+        coerce_binding(urllib.parse.unquote(m.group("n")), shape)
 
 
 # ---------------------------------------------------------------------------

@@ -214,8 +214,12 @@ UNSKIPPABLE = [
     (b"Content-Length: -7\r\n\r\na=1&b=2", 400),
     (b"Content-Length: 3\r\nContent-Length: 7\r\n\r\na=1&b=2", 400),
     (b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1), 413),
+    # More digits than int() converts (4300 by default).
+    (b"Content-Length: %s\r\n\r\n" % (b"9" * 5000), 413),
 ]
-UNSKIPPABLE_IDS = ["chunked", "not-a-number", "negative", "conflicting", "oversized"]
+UNSKIPPABLE_IDS = [
+    "chunked", "not-a-number", "negative", "conflicting", "oversized", "too-many-digits"
+]
 
 
 @pytest.fixture()
@@ -285,6 +289,15 @@ def test_truncated_post_body_stops_at_end_of_stream(target, head):
 def test_unskippable_post_body_is_refused_and_closes(target, head, framing, status):
     # The connection closes after the error, so the pipelined GET goes unanswered.
     assert _statuses(target, head + framing + NEXT_GET) == [status]
+
+
+@HEADS
+def test_a_content_length_of_thousands_of_digits_is_answered(target, head):
+    # Leading zeros do not count against the cap: this body is 7 bytes long.
+    zeros = head + b"Content-Length: %s7\r\n\r\na=1&b=2" % (b"0" * 5000)
+    assert _statuses(target, zeros + NEXT_GET) == [200, 200]
+    assert _statuses(target, head + b"Content-Length: %s\r\n\r\n" % (b"1" * 5000)) == [413]
+    assert _statuses(target, NEXT_GET) == [200]  # and the server serves on
 
 
 # A client that goes quiet, before a request line or inside a body, is cut off.

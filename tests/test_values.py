@@ -81,6 +81,18 @@ def test_is_valid_mirrors_parse_typed():
     assert not is_valid("", "int")
 
 
+@pytest.mark.parametrize("value_type, lexical", [
+    ("int", "12"), ("float", "1.5e3"), ("datetime", "2016-05-01T13"), ("duration", "P1DT2H"),
+])
+def test_a_trailing_line_feed_is_not_part_of_a_typed_value(value_type, lexical):
+    # The text may reach a query, so "12\n" is not an int, though "12" is.
+    assert is_valid(lexical, value_type)
+    for suffix in ("\n", "\r\n", "\nx"):
+        assert not is_valid(lexical + suffix, value_type)
+        with pytest.raises(ValueError):
+            parse_typed(lexical + suffix, value_type)
+
+
 # ---------------------------------------------------------------------------
 # Comparison semantics
 # ---------------------------------------------------------------------------
