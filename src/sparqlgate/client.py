@@ -59,7 +59,9 @@ RESULTS_JSON = "application/sparql-results+json"
 RESULTS_CSV = "text/csv"
 # What dispatch asks for: CSV, the lighter format to parse, else JSON.
 ACCEPT = f"{RESULTS_CSV}, {RESULTS_JSON};q=0.9"
-TIMEOUT = 30.0  # seconds per upstream query, to connect and to answer alike
+# Seconds for the connect and for each socket read, not for a whole call: an
+# endpoint that trickles its answer holds a call longer (ROADMAP.md, item 3).
+TIMEOUT = 30.0
 # Memory follows rows, not bytes, and each cap keeps one call near or under
 # 100 MB. Decoding a body, parsing it, dropping the text and writing the call's
 # JSON output peaks under tracemalloc at 7.8 times a JSON body, while parsing

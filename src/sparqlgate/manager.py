@@ -58,7 +58,7 @@ class ApiManager:
                 routes = compile_routes(document.api, document.operations)
             except ConfigError as exc:
                 raise exc.pinned(path=path) from None
-            self.apis.append(LoadedApi(document, routes, registry, path))
+            self.apis.append(LoadedApi(document, routes, registry))
 
     @property
     def documents(self) -> list[ConfigDocument]:

@@ -102,7 +102,6 @@ class LoadedApi:
     document: ConfigDocument
     routes: tuple[CompiledRoute, ...]
     registry: ProcessRegistry
-    source_path: str
 
     @property
     def base(self) -> str:

@@ -2,7 +2,8 @@
 
 Fields and parameters carry one of five types: str, int, float, duration,
 datetime. Values always travel as text; this module defines how that text
-parses and compares under each type. Comparison rules:
+parses and compares under each type; digits are ASCII ``[0-9]`` as in SPARQL,
+since the text may reach a query. Comparison rules:
 
 * int/float parse as decimal numbers;
 * datetime accepts a prefix form YYYY[-MM[-DD[THH[:MM[:SS]]]]] padded to
@@ -23,88 +24,55 @@ from __future__ import annotations
 import datetime as _dt
 import re
 
-VALUE_TYPES = ("str", "int", "float", "duration", "datetime")
+_NUMBER = r"([0-9]+(?:\.[0-9]+)?)"
+_TWO = r"([0-9]{2})"
+# Seconds per duration component, in the grammar's order: Y M W D, then T H M S.
+_DURATION_SECONDS = (365 * 86400.0, 30 * 86400.0, 7 * 86400.0, 86400.0, 3600.0, 60.0, 1.0)
 
-_INT_RE = re.compile(r"^[+-]?\d+\Z")
-_FLOAT_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
-_DATETIME_RE = re.compile(
-    r"^(\d{4})(?:-(\d{2})(?:-(\d{2})(?:T(\d{2})(?::(\d{2})(?::(\d{2}))?)?)?)?)?\Z"
-)
-_DURATION_RE = re.compile(
-    r"^(-)?P"
-    r"(?:(\d+(?:\.\d+)?)Y)?"
-    r"(?:(\d+(?:\.\d+)?)M)?"
-    r"(?:(\d+(?:\.\d+)?)W)?"
-    r"(?:(\d+(?:\.\d+)?)D)?"
-    r"(?:T"
-    r"(?:(\d+(?:\.\d+)?)H)?"
-    r"(?:(\d+(?:\.\d+)?)M)?"
-    r"(?:(\d+(?:\.\d+)?)S)?"
-    r")?\Z"
-)
 
-_SECONDS = {
-    "year": 365 * 86400.0,
-    "month": 30 * 86400.0,
-    "week": 7 * 86400.0,
-    "day": 86400.0,
-    "hour": 3600.0,
-    "minute": 60.0,
-    "second": 1.0,
+def _datetime(year, month, day, hour, minute, sec) -> _dt.datetime:
+    # Missing components pad to the earliest instant of the stated prefix.
+    return _dt.datetime(
+        int(year), int(month or 1), int(day or 1), int(hour or 0), int(minute or 0), int(sec or 0)
+    )
+
+
+def _duration(sign, *parts) -> float:
+    total = sum(float(p) * s for p, s in zip(parts, _DURATION_SECONDS) if p is not None)
+    return -total if sign else total
+
+
+# Each typed kind: one full-match grammar, and a conversion that takes its groups.
+_GRAMMARS = {
+    "int": (re.compile(r"([+-]?[0-9]+)"), int),
+    "float": (re.compile(r"([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"), float),
+    "duration": (  # the lookahead asks for one component at least: "P", "PT" fail
+        re.compile(
+            rf"(-)?P(?=[0-9]|T[0-9])(?:{_NUMBER}Y)?(?:{_NUMBER}M)?(?:{_NUMBER}W)?(?:{_NUMBER}D)?"
+            rf"(?:T(?:{_NUMBER}H)?(?:{_NUMBER}M)?(?:{_NUMBER}S)?)?"
+        ),
+        _duration,
+    ),
+    "datetime": (
+        re.compile(rf"([0-9]{{4}})(?:-{_TWO}(?:-{_TWO}(?:T{_TWO}(?::{_TWO}(?::{_TWO})?)?)?)?)?"),
+        _datetime,
+    ),
 }
+VALUE_TYPES = ("str", *_GRAMMARS)
 
 
 def parse_typed(lexical: str, value_type: str):
-    """Parse ``lexical`` under ``value_type`` into a comparable value.
-
-    Raises ValueError when the text does not belong to the type.
-    """
+    """Parse ``lexical`` under ``value_type``; ValueError when it does not belong to the type."""
     if value_type == "str":
         return lexical
-    if value_type == "int":
-        if not _INT_RE.match(lexical):
-            raise ValueError(f"not an integer: {lexical!r}")
-        return int(lexical)
-    if value_type == "float":
-        if not _FLOAT_RE.match(lexical):
-            raise ValueError(f"not a float: {lexical!r}")
-        return float(lexical)
-    if value_type == "datetime":
-        return _parse_datetime(lexical)
-    if value_type == "duration":
-        return _parse_duration(lexical)
-    raise ValueError(f"unknown value type: {value_type!r}")
-
-
-def _parse_datetime(lexical: str) -> _dt.datetime:
-    m = _DATETIME_RE.match(lexical)
-    if not m:
-        raise ValueError(f"not a datetime prefix: {lexical!r}")
-    year, month, day, hour, minute, second = (
-        int(g) if g is not None else None for g in m.groups()
-    )
-    # Missing components pad to the earliest instant of the stated prefix.
-    return _dt.datetime(
-        year,
-        month if month is not None else 1,
-        day if day is not None else 1,
-        hour if hour is not None else 0,
-        minute if minute is not None else 0,
-        second if second is not None else 0,
-    )
-
-
-def _parse_duration(lexical: str) -> float:
-    m = _DURATION_RE.match(lexical)
-    if not m:
-        raise ValueError(f"not an ISO-8601 duration: {lexical!r}")
-    sign, years, months, weeks, days, hours, minutes, seconds = m.groups()
-    parts = (years, months, weeks, days, hours, minutes, seconds)
-    if all(p is None for p in parts):
-        raise ValueError(f"duration has no components: {lexical!r}")
-    names = ("year", "month", "week", "day", "hour", "minute", "second")
-    total = sum(float(p) * _SECONDS[n] for p, n in zip(parts, names) if p is not None)
-    return -total if sign else total
+    try:
+        grammar, convert = _GRAMMARS[value_type]
+    except KeyError:
+        raise ValueError(f"unknown value type: {value_type!r}") from None
+    m = grammar.fullmatch(lexical)
+    if m is None:
+        raise ValueError(f"not a valid {value_type}: {lexical!r}")
+    return convert(*m.groups())
 
 
 def is_valid(lexical: str, value_type: str) -> bool:

@@ -131,7 +131,7 @@ def oracle_duration_seconds(text: str) -> float:
         number = ""
         allowed = list(order)
         for ch in part:
-            if ch.isdigit() or ch == ".":
+            if ch in "0123456789.":
                 number += ch
                 continue
             unit = ch.lower() if order == "hms" else ch

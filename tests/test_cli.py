@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
+import signal
 import socket
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -282,9 +285,41 @@ def test_missing_stylesheet_is_a_usage_error(conf_path, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Web server (-w) failure paths; the serving loop itself is covered
-# via GatewayServer in the server tests.
+# Web server (-w): the serving loop of ``python -m sparqlgate``, then its
+# failure paths
 # ---------------------------------------------------------------------------
+
+
+def test_the_served_gateway_answers_and_exits_cleanly_on_sigint(conf_path):
+    src = os.path.dirname(os.path.dirname(sparqlgate.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["-X", "dev", "-W", "error", "-m", "sparqlgate", "-s", conf_path, "-w", "127.0.0.1:0"]
+    path = "/api/v1/citations/10.1108/jd-12-2013-0166"
+    with subprocess.Popen(
+        [sys.executable, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    ) as child:
+        # A child that hangs is killed, so every read below ends within 10 s.
+        watchdog = threading.Timer(10, child.kill)
+        watchdog.start()
+        connection = None
+        try:
+            line = child.stderr.readline()
+            banner = re.fullmatch(r"dashboard at http://127\.0\.0\.1:(\d+)/\n", line)
+            assert banner, line
+            connection = http.client.HTTPConnection("127.0.0.1", int(banner[1]), timeout=5)
+            connection.request("GET", path)
+            response = connection.getresponse()
+            assert response.status == 200
+            assert response.read().decode("utf-8") == ApiManager([conf_path]).call(path)[0].body
+            # The keep-alive connection is still open when the server is interrupted.
+            child.send_signal(signal.SIGINT)
+            out, err = child.communicate()
+        finally:
+            watchdog.cancel()
+            if connection is not None:
+                connection.close()
+            child.kill()  # does nothing once the child has exited
+    assert (child.returncode, out, err) == (0, "", "")
 
 
 def test_malformed_listen_address(conf_path, capsys):

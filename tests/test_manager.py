@@ -34,9 +34,8 @@ SELECT ?citing ?cited WHERE {
 # ---------------------------------------------------------------------------
 
 
-def test_loads_fixture_and_exposes_documents(gateway, conf_path):
+def test_loads_fixture_and_exposes_documents(gateway):
     assert [api.base for api in gateway.apis] == ["/api/v1"]
-    assert gateway.apis[0].source_path == conf_path
     assert len(gateway.documents[0].operations) == 3
 
 
@@ -210,10 +209,7 @@ def test_call_routes_to_the_longest_matching_base(mock_endpoint, tmp_path):
     assert manager.find_api("/api") is None
 
 
-def test_an_encoded_line_feed_is_a_400_in_a_typed_parameter_or_a_refinement(
-    gateway, mock_endpoint, tmp_path
-):
-    counted = """#url /count
+COUNTED_API = """#url /count
 #type api
 #endpoint __ENDPOINT__
 
@@ -223,9 +219,18 @@ def test_an_encoded_line_feed_is_a_400_in_a_typed_parameter_or_a_refinement(
 #method get
 #sparql SELECT ?work WHERE { ?work <urn:count> [[n]] . }
 """
+
+
+def _counted(tmp_path, endpoint_url: str) -> ApiManager:
     path = tmp_path / "count.hf"
-    path.write_text(counted.replace("__ENDPOINT__", mock_endpoint.url), encoding="utf-8")
-    outcome, _, _ = ApiManager([str(path)]).call("/count/works/12%0A")
+    path.write_text(COUNTED_API.replace("__ENDPOINT__", endpoint_url), encoding="utf-8")
+    return ApiManager([str(path)])
+
+
+def test_an_encoded_line_feed_is_a_400_in_a_typed_parameter_or_a_refinement(
+    gateway, mock_endpoint, tmp_path
+):
+    outcome, _, _ = _counted(tmp_path, mock_endpoint.url).call("/count/works/12%0A")
     assert outcome.status == 400
     assert json.loads(outcome.body)["error"] == (
         "parameter 'n' value '12\\n' is not a valid int"
@@ -235,6 +240,26 @@ def test_an_encoded_line_feed_is_a_400_in_a_typed_parameter_or_a_refinement(
     for refinement in ("require=creation%0A", "sort=desc(creation)%0A"):
         outcome, _, _ = gateway.call(f"{info}?{refinement}")
         assert outcome.status == 400, refinement
+
+
+def test_a_non_ascii_digit_is_a_400_in_an_int_parameter(mock_endpoint, tmp_path):
+    # "%D9%A1%D9%A2" is Arabic-Indic "12": no SPARQL INTEGER, so no query is sent.
+    counted = _counted(tmp_path, mock_endpoint.url)
+    before = len(mock_endpoint.received)
+    outcome, _, _ = counted.call("/count/works/%D9%A1%D9%A2")
+    assert outcome.status == 400
+    assert json.loads(outcome.body)["error"] == (
+        "parameter 'n' value '\u0661\u0662' is not a valid int"
+    )
+    assert len(mock_endpoint.received) == before
+
+
+def test_a_non_ascii_digit_is_a_400_in_a_typed_filter(gateway):
+    stats = "/api/v1/stats/10.3233"
+    assert gateway.call(f"{stats}?filter=n:%3E1", method="post")[0].status == 200
+    outcome, _, _ = gateway.call(f"{stats}?filter=n:%3E%D9%A1", method="post")
+    assert outcome.status == 400
+    assert json.loads(outcome.body)["error"] == "filter value '\u0661' is not a valid int"
 
 
 def test_call_outside_every_base_is_a_404_outcome(gateway):

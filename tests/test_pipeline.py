@@ -35,7 +35,7 @@ def wired(mock_endpoint):
 
 def _call(wired, path, **kwargs):
     doc, routes, registry = wired
-    return execute(LoadedApi(doc, routes, registry, ""), CallRequest(path, **kwargs))[0]
+    return execute(LoadedApi(doc, routes, registry), CallRequest(path, **kwargs))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def test_bad_refinement_beats_an_unreachable_endpoint(monkeypatch):
     request = CallRequest(
         "/api/v1/citations/10.1108/x", query_params=(("sort", "sideways(citing)"),)
     )
-    assert execute(LoadedApi(doc, routes, registry, ""), request)[0].status == 400
+    assert execute(LoadedApi(doc, routes, registry), request)[0].status == 400
 
 
 @pytest.mark.filterwarnings("error")
@@ -285,7 +285,7 @@ def test_endpoint_failure_maps_to_500(monkeypatch):
     routes = compile_routes(doc.api, doc.operations)
     registry = register_builtins(ProcessRegistry())
     outcome = execute(
-        LoadedApi(doc, routes, registry, ""),
+        LoadedApi(doc, routes, registry),
         CallRequest("/api/v1/citations/10.1108/x"),
     )[0]
     assert outcome.status == 500
@@ -302,7 +302,7 @@ def test_upstream_error_status_maps_to_500(wired):
         routes = compile_routes(doc.api, doc.operations)
         registry = register_builtins(ProcessRegistry())
         outcome = execute(
-            LoadedApi(doc, routes, registry, ""), CallRequest("/api/v1/citations/10.1108/x")
+            LoadedApi(doc, routes, registry), CallRequest("/api/v1/citations/10.1108/x")
         )[0]
     assert outcome.status == 500
     assert "400" in json.loads(outcome.body)["error"]

@@ -45,7 +45,7 @@ def _execute(path, method="get"):
     config, _ = fixture_citations()
     doc = parse_document(config)
     routes = compile_routes(doc.api, doc.operations)
-    return execute(LoadedApi(doc, routes, ProcessRegistry(), ""), CallRequest(path, method))
+    return execute(LoadedApi(doc, routes, ProcessRegistry()), CallRequest(path, method))
 
 
 # ---------------------------------------------------------------------------

@@ -71,5 +71,9 @@ def test_the_tracer_sees_every_stage_of_a_refined_call(conf_path):
     match_parent, counts = by_name["router.match_path"][1:]
     assert match_parent == by_name["pipeline.execute"][0]
     assert counts["routes_scanned"] == 3
-    assert by_name["refine.filter"][2]["compare_calls"] > 0
-    assert by_name["refine.sort"][2]["parses"] > 0
+    # The typed-value counters behind values.parses_per_* and values.compare_calls:
+    # a rewrite that parses on another path changes what they mean.
+    assert by_name["router.coerce_binding"][2]["parses"] == 1
+    assert by_name["refine.filter"][2]["parses"] == 7
+    assert by_name["refine.filter"][2]["compare_calls"] == 3
+    assert by_name["refine.sort"][2]["parses"] == 2

@@ -93,6 +93,28 @@ def test_a_trailing_line_feed_is_not_part_of_a_typed_value(value_type, lexical):
             parse_typed(lexical + suffix, value_type)
 
 
+# Each text holds Arabic-Indic (U+0660..), fullwidth (U+FF10..) or Devanagari
+# (U+0966..) digits, which Python's int() and float() would read.
+NON_ASCII_DIGITS = {
+    "int": ("\u0661\u0662", "-\u0663", "\uff11\uff12", "\u0967\u0968", "1\u0662"),
+    "float": ("\u0661.\u0665", "\uff11.\uff15", "\u0967.\u096b", "1.\u0665", "1e\u0662"),
+    "duration": ("P\u0661D", "PT\uff11H", "P\u0967Y", "P1DT\u0662S", "-P\u0663W"),
+    "datetime": (
+        "\u0662\u0660\u0661\u0666-05", "\uff12\uff10\uff11\uff16", "\u0968\u0966\u0967\u096c",
+        "2016-\u0660\u0665", "2016-05-01T\u0661\u0663",
+    ),
+}
+
+
+@pytest.mark.parametrize("value_type, lexical", [
+    (value_type, lexical) for value_type, texts in NON_ASCII_DIGITS.items() for lexical in texts
+])
+def test_a_non_ascii_digit_is_not_part_of_a_typed_value(value_type, lexical):
+    # SPARQL's INTEGER is [0-9]+, and the text may be spliced into a query.
+    assert not is_valid(lexical, value_type)
+    assert sort_key(lexical, value_type) == oracle_key(lexical, value_type) == (0,)
+
+
 # ---------------------------------------------------------------------------
 # Comparison semantics
 # ---------------------------------------------------------------------------
