@@ -23,12 +23,12 @@ no caller passes either. The pool keeps idle keep-alive connections per
 origin, shared by all threads: a call takes one, or opens one, and gives it
 back only after reading the whole response. Sharing matters because the
 HTTP server runs one thread per client connection; connections kept per
-thread would be left open when those threads end. A pooled connection that
-the endpoint closed while it sat idle fails before any response byte; the
-call is then sent once more on a fresh connection. Redirects are not
-followed, and bodies larger than ``MAX_RESPONSE_BYTES`` are refused, or
-than ``MAX_CSV_RESPONSE_BYTES`` for a ``text/csv`` body, which holds more
-rows in a byte.
+thread would be left open when those threads end. The idle ones are closed
+at interpreter exit. A pooled connection that the endpoint closed while it
+sat idle fails before any response byte; the call is then sent once more on
+a fresh connection. Redirects are not followed, and bodies larger than
+``MAX_RESPONSE_BYTES`` are refused, or than ``MAX_CSV_RESPONSE_BYTES`` for a
+``text/csv`` body, which holds more rows in a byte.
 
 ``csv.field_size_limit`` is process-wide. Importing this module raises it
 to at least ``MAX_RESPONSE_BYTES`` and never lowers it, so that any field
@@ -42,6 +42,7 @@ responsibility worth stating loudly.
 
 from __future__ import annotations
 
+import atexit
 import csv
 import http.client
 import io
@@ -82,6 +83,16 @@ _CHUNK = 1024
 # Idle keep-alive connections per origin (scheme, host, port). dict.setdefault,
 # list.pop and list.append are each atomic, so threads share them without a lock.
 _idle: dict[tuple[str, str, int | None], list[http.client.HTTPConnection]] = {}
+
+
+@atexit.register
+def _close_idle() -> None:
+    """Close every idle pooled connection, so none is left to the collector."""
+    for idle in _idle.values():
+        while idle:
+            idle.pop().close()
+
+
 # What a pooled connection that the endpoint has closed fails with.
 _STALE = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError)
 

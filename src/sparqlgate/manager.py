@@ -30,7 +30,7 @@ from .pipeline import (
     resolve,
 )
 from .refine import CSV_MEDIA_TYPE, JSON_MEDIA_TYPE
-from .router import CallRequest, compile_routes
+from .router import compile_routes
 
 
 class ApiManager:
@@ -86,7 +86,7 @@ class ApiManager:
         path, _, query = url.partition("?")
         api = self.find_api(path)
         pairs = tuple(urllib.parse.parse_qsl(query, keep_blank_values=True))
-        outcome, operation = execute(api, CallRequest(path, method.lower(), pairs, accept))
+        outcome, operation = execute(api, path, method.lower(), pairs, accept)
         op_id = operation_id(api.document.api, operation) if operation is not None else None
         self.stats.record_call(op_id, outcome.status)
         return outcome, api, operation

@@ -3,8 +3,9 @@
 The stages run in a fixed order: route resolution, typed coercion of the
 path parameters, the preprocess chain, refinement parsing, template
 substitution, endpoint dispatch, results parsing, the postprocess chain, and
-finally refinement application with serialization. Refinements are parsed
-before the endpoint is asked, so a malformed one costs no upstream query.
+finally refinement application with serialization. The refinement plan,
+output format included, is settled before the endpoint is asked, so a
+malformed or conflicting one costs no upstream query.
 Preprocess, postprocess and refinements are true no-ops when absent: without
 them the body is exactly the serialized parse of the endpoint response.
 
@@ -34,7 +35,6 @@ from .errors import (
 )
 from .refine import JSON_MEDIA_TYPE, apply_plan, parse_refinements
 from .router import (
-    CallRequest,
     CompiledRoute,
     coerce_binding,
     extract_bindings,
@@ -194,21 +194,27 @@ def resolve(api: LoadedApi | None, path: str) -> tuple[CompiledRoute, re.Match[s
 
 
 def execute(
-    api: LoadedApi | None, request: CallRequest
+    api: LoadedApi | None,
+    path: str,
+    method: str = "get",
+    query_params: tuple[tuple[str, str], ...] = (),
+    accept_header: str | None = None,
 ) -> tuple[CallOutcome, OperationSpec | None]:
     """Run the whole pipeline; returns the outcome plus the matched operation.
 
-    Never raises: call-time errors become outcomes with the error's status
-    and the uniform JSON error body (content type application/json). The
-    matched operation — None when routing failed — feeds call statistics.
+    ``path`` stays percent-encoded, and ``query_params`` keep the URL's
+    order and repeated keys, on which refinements depend. Never raises:
+    call-time errors become outcomes with the error's status and the uniform
+    JSON error body (content type application/json). The matched operation
+    — None when routing failed — feeds call statistics.
     """
     operation: OperationSpec | None = None
     try:
-        route, m = resolve(api, request.full_path)
+        route, m = resolve(api, path)
         # The operation is pinned before the method check so a 405 is still
         # attributed to it in the call statistics.
         operation = route.operation
-        require_method(operation, request.method)
+        require_method(operation, method)
 
         raw = extract_bindings(operation, m)
         bindings = {
@@ -216,18 +222,18 @@ def execute(
             for shape in operation.params
         }
         bindings = run_preprocess(api.registry, operation.preprocess, bindings)
-        plan = parse_refinements(request.query_params)
+        plan = parse_refinements(query_params, accept_header)
         query = substitute(operation.sparql, bindings)
         _, media, body = dispatch(api.document.api.endpoint, query, operation.method)
         table = parse_results(body, media, field_types=operation.field_types)
         del body  # the upstream text lives only while it is parsed; the rows hold the rest
         table = run_postprocess(api.registry, operation.postprocess, table)
-        content_type, text = apply_plan(table, plan, request.accept_header)
+        content_type, text = apply_plan(table, plan)
         return CallOutcome(200, text, content_type), operation
     except CallError as exc:
         return CallOutcome(exc.status, error_body(exc), JSON_MEDIA_TYPE), operation
     except Exception as exc:  # never leak a traceback to the caller
-        log.exception("pipeline failure for %s", request.full_path)
+        log.exception("pipeline failure for %s", path)
         wrapped = CallError(f"internal error: {exc}")
         return CallOutcome(500, error_body(wrapped), JSON_MEDIA_TYPE), operation
 

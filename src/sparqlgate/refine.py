@@ -5,12 +5,13 @@ answers: ``require`` drops rows with an empty cell, ``filter`` keeps rows
 matching a regex or a typed comparison, ``sort`` orders rows, ``format``
 picks csv or json, and ``json`` reshapes cell text into arrays or records.
 
-``parse_refinements`` makes the plan: the output format and the steps in
-run order, every require, then filter, then sort, then json step, however
-the parameters were interleaved in the URL; within one kind, URL order.
-``format`` beats the Accept header; with neither, json is the default.
-``apply_plan`` runs the steps, and alone skips, with a warning, one on a
-field the table lacks; the ``apply_*`` steps are plain table transforms.
+``parse_refinements`` makes the plan before the endpoint is asked: the
+output format, ``format`` before the Accept header before json, and the steps
+in run order, every require, then filter, then sort, then json step, however
+the parameters were interleaved in the URL; within one kind, URL order. A
+json step under csv output is refused there. ``apply_plan`` runs the steps,
+and alone skips, with a warning, one on a field the table lacks; the
+``apply_*`` steps are plain table transforms. It then writes the format.
 
 Every step and writer works on the table's columns: ``require`` and
 ``filter`` build one keep mask over the field's column and compress every
@@ -89,19 +90,23 @@ class SortSpec:
 
 @dataclass(frozen=True)
 class RefinementPlan:
-    """The output format, and the steps in run order, each a tuple
-    ``(kind, field, step function, arguments after the table)``.
+    """The output format, csv or json, and the steps in run order, each a
+    tuple ``(kind, field, step function, arguments after the table)``.
     """
 
-    format: str | None = None
-    steps: tuple[tuple, ...] = ()
+    format: str
+    steps: tuple[tuple, ...]
 
 
-def parse_refinements(query_params: tuple[tuple[str, str], ...]) -> RefinementPlan:
-    """Turn query parameters into a RefinementPlan, steps in run order.
+def parse_refinements(
+    query_params: tuple[tuple[str, str], ...], accept_header: str | None = None
+) -> RefinementPlan:
+    """Turn query parameters and an Accept header into a RefinementPlan.
 
-    Unknown keys are ignored with a warning; the last ``format`` wins;
-    malformed values raise RefinementSyntaxError (status 400).
+    Unknown keys are ignored with a warning. The last ``format`` wins, then
+    the Accept header, then json. Malformed values raise
+    RefinementSyntaxError, and a ``json`` step under csv output
+    RefinementError (both status 400).
     """
     # The apply_* functions are looked up per call, so a wrapped one is what runs.
     slots: dict[str, list[tuple]] = {"require": [], "filter": [], "sort": [], "json": []}
@@ -132,7 +137,22 @@ def parse_refinements(query_params: tuple[tuple[str, str], ...]) -> RefinementPl
             continue
         slots[key].append(step)
 
+    fmt = fmt or format_from_accept(accept_header) or "json"
+    if fmt == "csv" and slots["json"]:
+        raise RefinementError("json refinements need the json format")
     return RefinementPlan(fmt, tuple(step for steps in slots.values() for step in steps))
+
+
+def format_from_accept(accept_header: str | None) -> str | None:
+    """Map an Accept header to csv/json; None when nothing recognized.
+
+    The first recognized range wins; one weighted ``q=0`` is not acceptable.
+    """
+    for item in (accept_header or "").split(","):
+        media_type = item.split(";", 1)[0].strip().lower()
+        if media_type in _ACCEPT_FORMATS and not _zero_weight(item):
+            return _ACCEPT_FORMATS[media_type]
+    return None
 
 
 def _parse_filter(value: str) -> FilterSpec:
@@ -292,37 +312,19 @@ def _reshaped(cell: Cell, field: str, op: str, split, each_element: bool) -> Cel
 # Plan execution and serialization
 # ---------------------------------------------------------------------------
 
-def format_from_accept(accept_header: str | None) -> str | None:
-    """Map an Accept header to csv/json; None when nothing recognized.
-
-    The first recognized range wins; one weighted ``q=0`` is not acceptable.
-    """
-    for item in (accept_header or "").split(","):
-        media_type = item.split(";", 1)[0].strip().lower()
-        if media_type in _ACCEPT_FORMATS and not _zero_weight(item):
-            return _ACCEPT_FORMATS[media_type]
-    return None
-
-
-def apply_plan(
-    table: ResultTable, plan: RefinementPlan, accept_header: str | None = None
-) -> tuple[str, str]:
-    """Run a plan's steps in order; returns (content type, body).
+def apply_plan(table: ResultTable, plan: RefinementPlan) -> tuple[str, str]:
+    """Run a plan's steps in order and write its format; returns (content type, body).
 
     A refinement on a field the table lacks is skipped with a warning here,
     so each ``apply_*`` step may take its field as present.
     """
-    fmt = plan.format or format_from_accept(accept_header) or "json"
-    if fmt == "csv" and any(kind.startswith("json") for kind, *_ in plan.steps):
-        raise RefinementError("json refinements need the json format")
-
     for kind, field, step, args in plan.steps:
         if field in table.header:
             table = step(table, *args)
         else:
             log.warning("%s on unknown field %r ignored", kind, field)
 
-    if fmt == "csv":
+    if plan.format == "csv":
         return CSV_MEDIA_TYPE, serialize_csv(table)
     return JSON_MEDIA_TYPE, serialize_json(table)
 

@@ -25,21 +25,6 @@ from .values import is_valid
 
 
 @dataclass(frozen=True)
-class CallRequest:
-    """One incoming call, before routing.
-
-    ``full_path`` is the percent-encoded path (api base + operation path).
-    ``query_params`` preserves the left-to-right URL order and duplicate
-    keys — refinement semantics depend on that order.
-    """
-
-    full_path: str
-    method: str = "get"
-    query_params: tuple[tuple[str, str], ...] = ()
-    accept_header: str | None = None
-
-
-@dataclass(frozen=True)
 class CompiledRoute:
     operation: OperationSpec
     matcher: re.Pattern[str]

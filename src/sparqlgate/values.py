@@ -46,10 +46,12 @@ def _duration(sign, *parts) -> float:
 _GRAMMARS = {
     "int": (re.compile(r"([+-]?[0-9]+)"), int),
     "float": (re.compile(r"([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"), float),
-    "duration": (  # the lookahead asks for one component at least: "P", "PT" fail
+    # The lookaheads ask for one component at least, and for one after a "T":
+    # "P", "PT" and "P1DT" fail.
+    "duration": (
         re.compile(
             rf"(-)?P(?=[0-9]|T[0-9])(?:{_NUMBER}Y)?(?:{_NUMBER}M)?(?:{_NUMBER}W)?(?:{_NUMBER}D)?"
-            rf"(?:T(?:{_NUMBER}H)?(?:{_NUMBER}M)?(?:{_NUMBER}S)?)?"
+            rf"(?:T(?=[0-9])(?:{_NUMBER}H)?(?:{_NUMBER}M)?(?:{_NUMBER}S)?)?"
         ),
         _duration,
     ),

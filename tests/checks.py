@@ -116,30 +116,23 @@ def oracle_duration_seconds(text: str) -> float:
     date_part, t, time_part = body[1:].partition("T")
     if t and not time_part:
         raise ValueError(text)
-    seconds_per = {
-        "Y": 365 * 86400.0,
-        "M": 30 * 86400.0,
-        "W": 7 * 86400.0,
-        "D": 86400.0,
-        "h": 3600.0,
-        "m": 60.0,
-        "s": 1.0,
-    }
+    # XSD duration: upper-case designators only, and a "T" needs a time component.
+    date_units = {"Y": 365 * 86400.0, "M": 30 * 86400.0, "W": 7 * 86400.0, "D": 86400.0}
+    time_units = {"H": 3600.0, "M": 60.0, "S": 1.0}
     total = 0.0
     components = 0
-    for part, order in ((date_part, "YMWD"), (time_part, "hms")):
+    for part, seconds_per in ((date_part, date_units), (time_part, time_units)):
         number = ""
-        allowed = list(order)
+        allowed = list(seconds_per)
         for ch in part:
             if ch in "0123456789.":
                 number += ch
                 continue
-            unit = ch.lower() if order == "hms" else ch
-            if unit not in allowed or not number:
+            if ch not in allowed or not number:
                 raise ValueError(text)
-            while allowed.pop(0) != unit:
+            while allowed.pop(0) != ch:
                 pass
-            total += float(number) * seconds_per[unit]
+            total += float(number) * seconds_per[ch]
             number = ""
             components += 1
         if number:

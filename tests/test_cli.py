@@ -290,6 +290,19 @@ def test_missing_stylesheet_is_a_usage_error(conf_path, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+def test_a_one_shot_call_leaves_no_socket_open_at_exit(conf_path):
+    # The call's upstream connection goes back to the pool; under -X dev -W
+    # error an unclosed one would print a ResourceWarning at teardown.
+    src = os.path.dirname(os.path.dirname(sparqlgate.__file__))
+    argv = ["-X", "dev", "-W", "error", "-m", "sparqlgate", "-s", conf_path, "-f", "csv",
+            "-c", "/api/v1/citations/10.1108/jd-12-2013-0166"]
+    done = subprocess.run(
+        [sys.executable, *argv], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=30,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, GOLDEN_CSV, "")
+
+
 def test_the_served_gateway_answers_and_exits_cleanly_on_sigint(conf_path):
     src = os.path.dirname(os.path.dirname(sparqlgate.__file__))
     env = {**os.environ, "PYTHONPATH": src}

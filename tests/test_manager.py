@@ -289,6 +289,20 @@ def test_call_accept_header_reaches_serialization(gateway):
     assert outcome.body.startswith("citing,cited\n")
 
 
+@pytest.mark.parametrize("query, accept", [
+    ("format=csv&json=array(%22-%22,citing)", None),
+    ("json=array(%22-%22,citing)", "text/csv"),
+])
+def test_json_step_under_csv_output_costs_no_upstream_query(gateway, mock_endpoint, query, accept):
+    before = len(mock_endpoint.received)
+    outcome, _, _ = gateway.call(
+        f"/api/v1/citations/10.1108/jd-12-2013-0166?{query}", accept=accept
+    )
+    assert (outcome.status, outcome.content_type) == (400, "application/json")
+    assert outcome.body == '{"error": "json refinements need the json format", "status": 400}'
+    assert len(mock_endpoint.received) == before
+
+
 # ---------------------------------------------------------------------------
 # Operation handles
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from sparqlgate.pipeline import (
     run_preprocess,
 )
 from sparqlgate.refine import serialize_json
-from sparqlgate.router import CallRequest, compile_routes
+from sparqlgate.router import compile_routes
 from sparqlgate.testkit import fixture_citations, start_mock
 
 
@@ -35,7 +35,7 @@ def wired(mock_endpoint):
 
 def _call(wired, path, **kwargs):
     doc, routes, registry = wired
-    return execute(LoadedApi(doc, routes, registry), CallRequest(path, **kwargs))[0]
+    return execute(LoadedApi(doc, routes, registry), path, **kwargs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +251,12 @@ def test_bad_refinement_beats_an_unreachable_endpoint(monkeypatch):
     doc = parse_document(config)
     routes = compile_routes(doc.api, doc.operations)
     registry = register_builtins(ProcessRegistry())
-    request = CallRequest(
-        "/api/v1/citations/10.1108/x", query_params=(("sort", "sideways(citing)"),)
-    )
-    assert execute(LoadedApi(doc, routes, registry), request)[0].status == 400
+    outcome = execute(
+        LoadedApi(doc, routes, registry),
+        "/api/v1/citations/10.1108/x",
+        query_params=(("sort", "sideways(citing)"),),
+    )[0]
+    assert outcome.status == 400
 
 
 @pytest.mark.filterwarnings("error")
@@ -285,8 +287,7 @@ def test_endpoint_failure_maps_to_500(monkeypatch):
     routes = compile_routes(doc.api, doc.operations)
     registry = register_builtins(ProcessRegistry())
     outcome = execute(
-        LoadedApi(doc, routes, registry),
-        CallRequest("/api/v1/citations/10.1108/x"),
+        LoadedApi(doc, routes, registry), "/api/v1/citations/10.1108/x"
     )[0]
     assert outcome.status == 500
     assert json.loads(outcome.body)["status"] == 500
@@ -302,7 +303,7 @@ def test_upstream_error_status_maps_to_500(wired):
         routes = compile_routes(doc.api, doc.operations)
         registry = register_builtins(ProcessRegistry())
         outcome = execute(
-            LoadedApi(doc, routes, registry), CallRequest("/api/v1/citations/10.1108/x")
+            LoadedApi(doc, routes, registry), "/api/v1/citations/10.1108/x"
         )[0]
     assert outcome.status == 500
     assert "400" in json.loads(outcome.body)["error"]

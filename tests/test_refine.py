@@ -63,12 +63,13 @@ def test_parse_collects_each_kind_in_url_order():
             ("sort", "desc(creation)"),
             ("json", 'dict("0", cited, one, two)'),
             ("filter", "creation:>2016-05"),
-            ("format", "csv"),
+            ("format", "json"),
             ("require", "citing"),
             ("json", 'array("|", x)'),
-        )
+        ),
+        CSV_MEDIA_TYPE,
     )
-    assert plan.format == "csv"
+    assert plan.format == "json"
     assert plan.steps == (
         ("require", "creation", apply_require, ("creation",)),
         ("require", "citing", apply_require, ("citing",)),
@@ -391,22 +392,20 @@ def test_same_kind_parameters_apply_in_url_order():
 
 
 def test_format_parameter_beats_accept_header_both_ways():
-    content_type, _ = apply_plan(
-        INFO, parse_refinements((("format", "json"),)), accept_header=CSV_MEDIA_TYPE
-    )
-    assert content_type == JSON_MEDIA_TYPE
-    content_type, _ = apply_plan(
-        INFO, parse_refinements((("format", "csv"),)), accept_header=JSON_MEDIA_TYPE
-    )
-    assert content_type == CSV_MEDIA_TYPE
+    plan = parse_refinements((("format", "json"),), accept_header=CSV_MEDIA_TYPE)
+    assert plan.format == "json"
+    assert apply_plan(INFO, plan)[0] == JSON_MEDIA_TYPE
+    plan = parse_refinements((("format", "csv"),), accept_header=JSON_MEDIA_TYPE)
+    assert plan.format == "csv"
+    assert apply_plan(INFO, plan)[0] == CSV_MEDIA_TYPE
 
 
 def test_accept_header_decides_when_no_format_is_given():
-    assert apply_plan(INFO, parse_refinements(()), CSV_MEDIA_TYPE)[0] == CSV_MEDIA_TYPE
-    assert apply_plan(INFO, parse_refinements(()), "text/csv;q=0.9")[0] == CSV_MEDIA_TYPE
-    assert apply_plan(INFO, parse_refinements(()), "text/html, application/json")[0] == JSON_MEDIA_TYPE
-    assert apply_plan(INFO, parse_refinements(()), None)[0] == JSON_MEDIA_TYPE
-    assert apply_plan(INFO, parse_refinements(()), "text/html")[0] == JSON_MEDIA_TYPE
+    assert parse_refinements((), CSV_MEDIA_TYPE).format == "csv"
+    assert parse_refinements((), "text/csv;q=0.9").format == "csv"
+    assert parse_refinements((), "text/html, application/json").format == "json"
+    assert parse_refinements((), None).format == "json"
+    assert parse_refinements((), "text/html").format == "json"
 
 
 def test_format_from_accept_parses_lists_and_parameters():
@@ -424,25 +423,32 @@ def test_format_from_accept_parses_lists_and_parameters():
     assert format_from_accept("text/csv;q=0") is None
 
 
-def test_json_reshaping_under_csv_format_is_an_error(monkeypatch):
-    plan = parse_refinements((("json", 'array("/", citing)'), ("format", "csv")))
-    with pytest.raises(RefinementError):
-        apply_plan(INFO, plan)
-    # The refusal comes before any row step: no sort runs, and an invalid
-    # typed filter value is not reached.
-    sorted_tables = []
-    monkeypatch.setattr(refine, "apply_sort", lambda table, spec: sorted_tables.append(table))
-    plan = parse_refinements(
-        (
-            ("filter", "creation:>yesterday"),
-            ("sort", "asc(citing)"),
-            ("json", 'array("/", citing)'),
-        )
-    )
+def test_json_reshaping_under_csv_format_is_an_error():
     with pytest.raises(RefinementError) as caught:
-        apply_plan(INFO, plan, accept_header=CSV_MEDIA_TYPE)
+        parse_refinements((("json", 'array("/", citing)'), ("format", "csv")))
     assert str(caught.value) == "json refinements need the json format"
-    assert sorted_tables == []
+    # The plan is refused while it is made, before any table exists: the
+    # Accept header's csv counts alike, and no step, not even the invalid
+    # typed filter value, is reached.
+    with pytest.raises(RefinementError) as caught:
+        parse_refinements(
+            (
+                ("filter", "creation:>yesterday"),
+                ("sort", "asc(citing)"),
+                ("json", 'array("/", citing)'),
+            ),
+            accept_header=CSV_MEDIA_TYPE,
+        )
+    assert str(caught.value) == "json refinements need the json format"
+    # A syntax error still wins, and format=json beats a csv Accept header.
+    with pytest.raises(RefinementSyntaxError):
+        parse_refinements(
+            (("format", "csv"), ("json", 'array("/", citing)'), ("sort", "sideways(citing)"))
+        )
+    plan = parse_refinements(
+        (("json", 'array("/", citing)'), ("format", "json")), accept_header=CSV_MEDIA_TYPE
+    )
+    assert plan.format == "json"
 
 
 def test_json_ops_apply_in_sequence():

@@ -14,7 +14,6 @@ from sparqlgate.errors import (
 )
 from sparqlgate.pipeline import LoadedApi, ProcessRegistry, execute
 from sparqlgate.router import (
-    CallRequest,
     coerce_binding,
     compile_matcher,
     compile_routes,
@@ -45,7 +44,7 @@ def _execute(path, method="get"):
     config, _ = fixture_citations()
     doc = parse_document(config)
     routes = compile_routes(doc.api, doc.operations)
-    return execute(LoadedApi(doc, routes, ProcessRegistry()), CallRequest(path, method))
+    return execute(LoadedApi(doc, routes, ProcessRegistry()), path, method)
 
 
 # ---------------------------------------------------------------------------

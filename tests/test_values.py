@@ -68,6 +68,18 @@ def test_duration_rejects_malformed_text():
             parse_typed(bad, "duration")
 
 
+@pytest.mark.parametrize("lexical, key", [
+    ("P1DT", (0,)),  # XSD: a "T" needs a time component after it
+    ("-P1DT", (0,)),
+    ("PT1h", (0,)),  # XSD: designators are upper case
+    ("P1DT1H", (1, 90000.0)),
+    ("PT1H", (1, 3600.0)),
+])
+def test_duration_validity_and_keys_agree_with_the_oracle(lexical, key):
+    assert is_valid(lexical, "duration") == (key != (0,))
+    assert sort_key(lexical, "duration") == oracle_key(lexical, "duration") == key
+
+
 def test_str_is_identity_and_unknown_type_rejected():
     assert parse_typed("anything", "str") == "anything"
     with pytest.raises(ValueError):
