@@ -90,7 +90,9 @@ def operation_id(api: ApiSpec, operation: OperationSpec) -> str:
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
 _BULLET_RE = re.compile(r"^[-*]\s+(.*)$")
 _CODE_RE = re.compile(r"`([^`]+)`")
-_LINK_RE = re.compile(r"\[([^\]]+)\]\(([^)\s]+)\)")
+# Only web, mail and same-site targets link: a javascript: or data: target,
+# even behind a control character a browser strips, stays escaped text.
+_LINK_RE = re.compile(r"\[([^\]]+)\]\(((?:https?://|mailto:|[/#?])[^)\s]*)\)", re.IGNORECASE)
 _BOLD_RE = re.compile(r"\*\*([^*]+)\*\*")
 _EM_RE = re.compile(r"\*([^*]+)\*")
 

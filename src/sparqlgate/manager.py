@@ -25,12 +25,12 @@ from .pipeline import (
     CallOutcome,
     LoadedApi,
     ProcessRegistry,
+    compile_routes,
     execute,
     register_builtins,
     resolve,
 )
 from .refine import CSV_MEDIA_TYPE, JSON_MEDIA_TYPE
-from .router import compile_routes
 
 
 class ApiManager:

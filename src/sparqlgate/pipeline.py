@@ -9,6 +9,12 @@ malformed or conflicting one costs no upstream query.
 Preprocess, postprocess and refinements are true no-ops when absent: without
 them the body is exactly the serialized parse of the endpoint response.
 
+Routing compiles each URL template to one anchored regex, in which every
+``{name}`` placeholder is a named group holding that parameter's pattern. It
+matches the percent-encoded path, so an encoded slash never creates path
+structure, and decodes captured values afterwards. A value may span ``/``
+when its pattern allows it, as DOIs need.
+
 Every failure surfaces as a CallOutcome whose status mirrors the error
 (404/405 routing, 400 bad parameter or refinement, 500 endpoint or
 transform trouble) and whose body is the uniform JSON error payload.
@@ -25,22 +31,26 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .client import ResultTable, dispatch, parse_results, substitute
-from .config import ConfigDocument, OperationSpec, ProcessStep
+from .config import (
+    PLACEHOLDER_RE,
+    ApiSpec,
+    ConfigDocument,
+    OperationSpec,
+    ParamShape,
+    ProcessStep,
+)
 from .errors import (
     CallError,
+    MethodNotAllowedError,
     NotFoundError,
+    SpecValidationError,
     TransformError,
+    TypeMismatchError,
     UnknownFunctionError,
     error_body,
 )
 from .refine import JSON_MEDIA_TYPE, apply_plan, parse_refinements
-from .router import (
-    CompiledRoute,
-    coerce_binding,
-    extract_bindings,
-    match_path,
-    require_method,
-)
+from .values import is_valid
 
 log = logging.getLogger(__name__)
 
@@ -122,6 +132,94 @@ def _variadic(fn: Callable[[str], str]) -> ParamTransform:
         return tuple(fn(v) for v in values)
 
     return transform
+
+
+# ---------------------------------------------------------------------------
+# Routing
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CompiledRoute:
+    operation: OperationSpec
+    matcher: re.Pattern[str]
+
+
+def compile_matcher(
+    api_base: str, url_template: str, params: tuple[ParamShape, ...]
+) -> re.Pattern[str]:
+    """Compile api base + template into one anchored path regex."""
+    shapes = {shape.param_name: shape for shape in params}
+    source = api_base + url_template
+    pieces = ["^"]
+    cursor = 0
+    for m in PLACEHOLDER_RE.finditer(source):
+        pieces.append(re.escape(source[cursor : m.start()]))
+        name = m.group(1)
+        pieces.append(f"(?P<{name}>{shapes[name].pattern})")
+        cursor = m.end()
+    pieces.append(re.escape(source[cursor:]))
+    pieces.append(r"\Z")
+    try:
+        return re.compile("".join(pieces))
+    except re.error as exc:
+        raise SpecValidationError(
+            f"url template {url_template!r} does not compile: {exc}", field="url"
+        ) from None
+
+
+def compile_routes(
+    api: ApiSpec, operations: tuple[OperationSpec, ...]
+) -> tuple[CompiledRoute, ...]:
+    """Compile every operation of one document, preserving document order."""
+    routes = []
+    for op in operations:
+        try:
+            routes.append(CompiledRoute(op, compile_matcher(api.url, op.url_template, op.params)))
+        except SpecValidationError as exc:
+            raise exc.pinned(block_index=op.block) from None
+    return tuple(routes)
+
+
+def match_path(
+    routes: tuple[CompiledRoute, ...], full_path: str
+) -> tuple[CompiledRoute, re.Match[str]] | None:
+    """First route (document order) whose matcher fully matches the path."""
+    for route in routes:
+        m = route.matcher.match(full_path)
+        if m is not None:
+            return route, m
+    return None
+
+
+def extract_bindings(operation: OperationSpec, m: re.Match[str]) -> dict[str, str]:
+    """Percent-decode the captured parameter values of a successful match."""
+    return {
+        shape.param_name: urllib.parse.unquote(m.group(shape.param_name))
+        for shape in operation.params
+    }
+
+
+def require_method(operation: OperationSpec, method: str) -> None:
+    """Reject a call whose method differs from the matched operation's."""
+    if method != operation.method:
+        raise MethodNotAllowedError(
+            f"operation {operation.url_template!r} accepts "
+            f"{operation.method}, not {method}"
+        )
+
+
+def coerce_binding(raw: str, shape: ParamShape) -> str:
+    """Check a decoded binding against its declared value type.
+
+    The value stays text — typing only gates admission (an ``int`` shape
+    rejects "12a" even when the pattern allows it).
+    """
+    if not is_valid(raw, shape.value_type):
+        raise TypeMismatchError(
+            f"parameter '{shape.param_name}' value {raw!r} is not a valid "
+            f"{shape.value_type}"
+        )
+    return raw
 
 
 # ---------------------------------------------------------------------------

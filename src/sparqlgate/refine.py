@@ -67,6 +67,9 @@ _JSON_ESCAPED = bytes([*range(0x20), ord('"'), ord("\\")])
 _CSV_QUOTED = b',"\n\r'
 # Rows per writer chunk: bounds the piece lists the writers hold at once.
 _CHUNK = 1024
+# Refinement steps per call: bounds the work one request line can buy. The
+# acceptance generator makes at most 8 steps, the fuzz test 4, the benchmark 2.
+_MAX_STEPS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -103,16 +106,23 @@ def parse_refinements(
 ) -> RefinementPlan:
     """Turn query parameters and an Accept header into a RefinementPlan.
 
-    Unknown keys are ignored with a warning. The last ``format`` wins, then
-    the Accept header, then json. Malformed values raise
-    RefinementSyntaxError, and a ``json`` step under csv output
-    RefinementError (both status 400).
+    Unknown keys are ignored with one warning per call. The last ``format``
+    wins, then the Accept header, then json. Malformed values raise
+    RefinementSyntaxError; a ``json`` step under csv output, or more than
+    ``_MAX_STEPS`` require, filter, sort and json steps, RefinementError
+    (both status 400).
     """
     # The apply_* functions are looked up per call, so a wrapped one is what runs.
     slots: dict[str, list[tuple]] = {"require": [], "filter": [], "sort": [], "json": []}
     fmt: str | None = None
+    steps = 0
+    ignored: list[str] = []
 
     for key, value in query_params:
+        if key in slots:
+            steps += 1
+            if steps > _MAX_STEPS:
+                raise RefinementError(f"at most {_MAX_STEPS} refinement steps per call")
         if key == "require":
             if not NAME_RE.match(value):
                 raise RefinementSyntaxError(f"bad require field name {value!r}")
@@ -133,9 +143,12 @@ def parse_refinements(
         elif key == "json":
             step = _parse_json_op(value)
         else:
-            log.warning("ignoring unknown query parameter %r", key)
+            ignored.append(key)
             continue
         slots[key].append(step)
+
+    if ignored:
+        log.warning("ignoring %d unknown query parameter(s), the first %r", len(ignored), ignored[0])
 
     fmt = fmt or format_from_accept(accept_header) or "json"
     if fmt == "csv" and slots["json"]:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import html
 import random
 import re
 import threading
+
+import pytest
 
 from checks import assert_valid_html
 from sparqlgate.cli import cli_main
@@ -53,6 +56,30 @@ def test_markdown_escapes_untrusted_text():
     assert "&lt;script&gt;" in out
     assert "&amp;" in out
     assert "<code>&lt;code &amp; stuff&gt;</code>" in out
+
+
+@pytest.mark.parametrize("target", [
+    "javascript:alert(document.cookie)",
+    "JavaScript:alert(1)",
+    "data:text/html;base64,PHNjcmlwdD4=",
+    "vbscript:msgbox(1)",
+    "\x01javascript:alert(1)",
+])
+def test_markdown_unsafe_link_targets_stay_text(target):
+    out = markdown_to_html(f"see [docs]({target})")
+    assert "<a" not in out
+    assert "[docs](" in out
+
+
+@pytest.mark.parametrize("target", [
+    "http://example.org/x",
+    "https://example.org/x?a=1",
+    "mailto:ops@example.org",
+    "/api/v1",
+    "#frag",
+])
+def test_markdown_safe_link_targets_link(target):
+    assert f'<a href="{html.escape(target)}">docs</a>' in markdown_to_html(f"see [docs]({target})")
 
 
 def test_markdown_code_spans_shield_inner_markup():

@@ -303,6 +303,18 @@ def test_json_step_under_csv_output_costs_no_upstream_query(gateway, mock_endpoi
     assert len(mock_endpoint.received) == before
 
 
+def test_refinement_steps_are_bounded_before_dispatch(gateway, mock_endpoint):
+    path = "/api/v1/citations/10.1108/jd-12-2013-0166?"
+    # format and ignored keys are no steps.
+    outcome, _, _ = gateway.call(path + "&".join(["require=citing"] * 16) + "&format=csv&page=1")
+    assert outcome.status == 200
+    before = len(mock_endpoint.received)
+    outcome, _, _ = gateway.call(path + "&".join(["require=citing"] * 17))
+    assert (outcome.status, outcome.content_type) == (400, "application/json")
+    assert outcome.body == '{"error": "at most 16 refinement steps per call", "status": 400}'
+    assert len(mock_endpoint.received) == before
+
+
 # ---------------------------------------------------------------------------
 # Operation handles
 # ---------------------------------------------------------------------------

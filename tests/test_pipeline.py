@@ -13,13 +13,13 @@ from sparqlgate.errors import TransformError, UnknownFunctionError
 from sparqlgate.pipeline import (
     LoadedApi,
     ProcessRegistry,
+    compile_routes,
     execute,
     register_builtins,
     run_postprocess,
     run_preprocess,
 )
 from sparqlgate.refine import serialize_json
-from sparqlgate.router import compile_routes
 from sparqlgate.testkit import fixture_citations, start_mock
 
 

@@ -103,6 +103,13 @@ def test_unknown_keys_are_ignored_with_a_warning(caplog):
     assert any("page" in r.message for r in caplog.records)
 
 
+def test_unknown_keys_make_one_warning_per_call(caplog):
+    with caplog.at_level("WARNING"):
+        parse_refinements((("page", "2"), ("require", "citing"), ("p", "1"), ("page", "3")))
+    [record] = caplog.records
+    assert "3" in record.getMessage() and "'page'" in record.getMessage()
+
+
 def test_malformed_refinements_raise_syntax_errors():
     bad = (
         ("require", "not a name"),

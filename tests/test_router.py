@@ -12,11 +12,13 @@ from sparqlgate.errors import (
     SpecValidationError,
     TypeMismatchError,
 )
-from sparqlgate.pipeline import LoadedApi, ProcessRegistry, execute
-from sparqlgate.router import (
+from sparqlgate.pipeline import (
+    LoadedApi,
+    ProcessRegistry,
     coerce_binding,
     compile_matcher,
     compile_routes,
+    execute,
     extract_bindings,
     match_path,
     require_method,
